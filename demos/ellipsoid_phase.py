@@ -28,7 +28,6 @@ def main() -> None:
         seed=seed,
         variant="hyperplane",
         max_iter=4000,
-        jobs=4,
     )
     half = estimate_transition(grid, level=0.5)
     strict = estimate_transition(grid, level=0.95)

@@ -45,7 +45,6 @@ from .separation import (
     NullspaceCheck,
     SeparationVerdict,
     decide_disjoint,
-    decide_projected_batch,
     dual_cone_margin,
     min_norm_point,
     nullspace_avoids_cone,
@@ -93,7 +92,6 @@ __all__ = [
     "NullspaceCheck",
     "SeparationVerdict",
     "decide_disjoint",
-    "decide_projected_batch",
     "dual_cone_margin",
     "min_norm_point",
     "nullspace_avoids_cone",

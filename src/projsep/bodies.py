@@ -309,19 +309,7 @@ def contains(body: Ellipsoid | Ball, point, tol: float = MEMBERSHIP_TOL) -> bool
     return float(np.linalg.norm(x)) <= 1.0 + tol
 
 
-def ellipsoid_to_dict(body: Ellipsoid) -> dict:
-    return {"center": body.center.tolist(), "shape": body.shape.tolist()}
-
-
 def ellipsoid_from_dict(data: dict) -> Ellipsoid:
     if "radius" in data:
         return Ball(np.asarray(data["center"], dtype=float), float(data["radius"])).to_ellipsoid()
     return make_ellipsoid(data["center"], data["shape"])
-
-
-def projection_to_dict(projection: GaussianProjection) -> dict:
-    return {"rows": projection.rows, "cols": projection.cols, "seed": projection.seed}
-
-
-def projection_from_dict(data: dict) -> GaussianProjection:
-    return GaussianProjection(int(data["rows"]), int(data["cols"]), int(data["seed"]))

@@ -30,7 +30,7 @@ from .experiments import (
     save_phase_grid,
 )
 from .pca import toy_cross_polytope_balls, toy_two_balls
-from .separation import decide_disjoint
+from .separation import DEFAULT_TOL, decide_disjoint
 from .widths import mc_width_circular, mc_width_pseudoprojection, width_bound_ellipsoids
 from .bodies import CircularCone
 
@@ -139,11 +139,10 @@ def _cmd_cone_phase(args: argparse.Namespace) -> int:
             "ms": ms,
             "trials": args.trials,
             "seed": seed,
-            "jobs": args.jobs,
             "out": args.out,
         },
     )
-    grid = run_cone_phase(args.n, alphas, ms, args.trials, seed, jobs=args.jobs)
+    grid = run_cone_phase(args.n, alphas, ms, args.trials, seed)
     save_phase_grid(grid, args.out)
     return 0
 
@@ -162,7 +161,6 @@ def _cmd_ellipsoid_phase(args: argparse.Namespace) -> int:
             "seed": seed,
             "variant": args.variant,
             "tol": args.tol,
-            "jobs": args.jobs,
             "out": args.out,
         },
     )
@@ -174,7 +172,6 @@ def _cmd_ellipsoid_phase(args: argparse.Namespace) -> int:
         seed,
         variant=args.variant,
         tol=args.tol,
-        jobs=args.jobs,
     )
     save_phase_grid(grid, args.out)
     return 0
@@ -312,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("separate", help="decide disjointness with certificate")
     p.add_argument("--pair", required=True)
-    p.add_argument("--tol", type=float, default=1e-7)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--max-iter", type=int, default=None)
     p.add_argument("--out")
     common(p, seed=False)
@@ -323,7 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", required=True, help="half-angles, lo:step:hi or list")
     p.add_argument("--ms", help="projected dimensions, defaults to 1..n")
     p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", required=True)
     common(p)
     p.set_defaults(handler=_cmd_cone_phase)
@@ -334,8 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ms", help="projected dimensions, defaults to 1..n")
     p.add_argument("--trials", type=int, default=50)
     p.add_argument("--variant", choices=("general", "hyperplane"), default="general")
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--out", required=True)
     common(p)
     p.set_defaults(handler=_cmd_ellipsoid_phase)
@@ -391,7 +386,7 @@ def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser, arg
         attr = key.replace("-", "_")
         if not hasattr(args, attr):
             raise ValueError(f"config key {key!r} is not a flag of this subcommand")
-        if f"--{key}" in explicit:
+        if f"--{key.replace('_', '-')}" in explicit:
             continue
         setattr(args, attr, value)
 

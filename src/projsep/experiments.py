@@ -3,7 +3,7 @@
 Grids sweep a geometry parameter (cone half-angle or center gap) against
 the projected dimension M, counting disjointness successes per cell. Every
 (cell, trial) derives its own RNG substream from the master seed, so cell
-counts do not depend on evaluation order or worker count.
+counts do not depend on evaluation order.
 
 CSV schema: header ``param,M,trials,successes,indeterminate``, one row per
 cell, param formatted with six decimals. A sibling ``<name>.meta.json``
@@ -15,7 +15,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -24,7 +23,13 @@ import numpy as np
 
 from ._rng import substream
 from .bodies import CircularCone, Ellipsoid, make_ellipsoid
-from .separation import INDETERMINATE, DISJOINT, decide_disjoint, nullspace_avoids_cone
+from .separation import (
+    DEFAULT_TOL,
+    DISJOINT,
+    INDETERMINATE,
+    decide_disjoint,
+    nullspace_avoids_cone,
+)
 from .widths import width_bound_ellipsoids
 
 CSV_HEADER = ("param", "M", "trials", "successes", "indeterminate")
@@ -91,27 +96,7 @@ def _validate_axis2(ms) -> tuple[int, ...]:
     return ms
 
 
-def _run_cells(n_rows: int, n_cols: int, cell, jobs: int) -> list[list]:
-    coords = [(i, j) for i in range(n_rows) for j in range(n_cols)]
-    if jobs <= 1:
-        results = [cell(i, j) for i, j in coords]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(lambda ij: cell(*ij), coords))
-    table: list[list] = [[None] * n_cols for _ in range(n_rows)]
-    for (i, j), value in zip(coords, results):
-        table[i][j] = value
-    return table
-
-
-def run_cone_phase(
-    n: int,
-    alphas,
-    ms,
-    trials: int,
-    seed: int,
-    jobs: int = 1,
-) -> PhaseGrid:
+def run_cone_phase(n: int, alphas, ms, trials: int, seed: int) -> PhaseGrid:
     """Sweep circular-cone half-angles against projected dimensions.
 
     Success in a trial means the null space of a fresh M-by-n Gaussian
@@ -138,7 +123,7 @@ def run_cone_phase(
             count += bool(nullspace_avoids_cone(matrix, cones[i]))
         return count
 
-    counts = _run_cells(len(alphas), len(ms), cell, jobs)
+    counts = [[cell(i, j) for j in range(len(ms))] for i in range(len(alphas))]
     successes = np.array(counts, dtype=np.int64)
     return PhaseGrid(
         axis1=alphas,
@@ -197,9 +182,8 @@ def run_ellipsoid_phase(
     trials: int,
     seed: int,
     variant: str = "general",
-    tol: float | None = None,
+    tol: float = DEFAULT_TOL,
     max_iter: int | None = None,
-    jobs: int = 1,
 ) -> PhaseGrid:
     """Sweep center gaps against projected dimensions for Wishart ellipsoids.
 
@@ -251,19 +235,19 @@ def run_ellipsoid_phase(
                 # parallel hyperplanes <z, axis> = +/- zeta/2 are disjoint
                 preprojection += zeta > 0.0
             else:
-                pre = decide_disjoint(body1, body2, tol=tol or 1e-7, max_iter=max_iter)
+                pre = decide_disjoint(body1, body2, tol=tol, max_iter=max_iter)
                 preprojection += pre.state == DISJOINT
             verdict = decide_disjoint(
                 Ellipsoid(matrix @ c1, matrix @ shape1),
                 Ellipsoid(-(matrix @ c1), matrix @ shape2),
-                tol=tol or 1e-7,
+                tol=tol,
                 max_iter=max_iter,
             )
             disjoint += verdict.state == DISJOINT
             indeterminate += verdict.state == INDETERMINATE
         return disjoint, indeterminate, preprojection, bound_sq_sum, bound_valid
 
-    table = _run_cells(len(zetas), len(ms), cell, jobs)
+    table = [[cell(i, j) for j in range(len(ms))] for i in range(len(zetas))]
     successes = np.array([[c[0] for c in row] for row in table], dtype=np.int64)
     indet = np.array([[c[1] for c in row] for row in table], dtype=np.int64)
     preproj = [[int(c[2]) for c in row] for row in table]
@@ -276,7 +260,7 @@ def run_ellipsoid_phase(
     meta.update(
         {
             "variant": variant,
-            "tol": tol if tol is not None else 1e-7,
+            "tol": tol,
             "max_iter": max_iter,
             "preprojection_disjoint": preproj,
             "mean_sq_bound": mean_sq_bound,

@@ -10,13 +10,13 @@ and a dual-cone direction with positive margin witnesses separation.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
-from .bodies import Ball, CircularCone, Ellipsoid, GaussianProjection, project_body
+from .bodies import Ball, CircularCone, Ellipsoid, GaussianProjection
 
 DISJOINT = "Disjoint"
 INTERSECTING = "Intersecting"
@@ -103,12 +103,58 @@ def _check_pair(e1: Ellipsoid, e2: Ellipsoid) -> None:
         )
 
 
-def _resolve_max_iter(max_iter: int | None, ambient: int) -> int:
+def _prepare(
+    e1: Ellipsoid | Ball, e2: Ellipsoid | Ball, tol: float, max_iter: int | None
+) -> tuple[Ellipsoid, Ellipsoid, int]:
+    """Validated bodies and iteration limit (default 50 per ambient dimension)."""
+    e1, e2 = _coerce(e1), _coerce(e2)
+    _check_pair(e1, e2)
+    if tol < 0.0:
+        raise ValueError(f"tol must be >= 0, got {tol!r}")
     if max_iter is None:
-        return MAX_ITER_PER_DIM * ambient
+        return e1, e2, MAX_ITER_PER_DIM * e1.ambient_dim
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-    return max_iter
+    return e1, e2, max_iter
+
+
+def _iterates(e1: Ellipsoid, e2: Ellipsoid):
+    """Conditional-gradient iterates for the minimum-norm point of ``E1 - E2``.
+
+    Yields ``(z, x, y, n1, n2, gap)`` before each step, where ``z = (c1 -
+    c2) + B1 @ x - B2 @ y``, ``n1, n2 = ||B1' z||, ||B2' z||`` and ``gap =
+    <z, z - d>`` is the duality gap at the linear minimizer d. Each step
+    solves the linear subproblem in closed form (the difference set is a
+    sum of ellipsoids, whose support maps are explicit) and uses the exact
+    quadratic line search, so the norm never increases. The iteration
+    ends only once a step would make no progress; callers stop it at
+    their own rule.
+    """
+    c_gap = e1.center - e2.center
+    b1, b2 = e1.shape, e2.shape
+    z = c_gap.copy()
+    x = np.zeros(b1.shape[1])
+    y = np.zeros(b2.shape[1])
+    while True:
+        b1t_z = b1.T @ z
+        b2t_z = b2.T @ z
+        n1 = float(np.linalg.norm(b1t_z))
+        n2 = float(np.linalg.norm(b2t_z))
+        x_lmo = -b1t_z / n1 if n1 > 0.0 else np.zeros_like(x)
+        y_lmo = b2t_z / n2 if n2 > 0.0 else np.zeros_like(y)
+        d = c_gap + b1 @ x_lmo - b2 @ y_lmo
+        gap = float(z @ (z - d))
+        yield z, x, y, n1, n2, gap
+        v = d - z
+        vv = float(v @ v)
+        if vv == 0.0:
+            return
+        gamma = min(gap / vv, 1.0)
+        if gamma <= 0.0:
+            return
+        z = z + gamma * v
+        x = x + gamma * (x_lmo - x)
+        y = y + gamma * (y_lmo - y)
 
 
 def min_norm_point(
@@ -133,45 +179,16 @@ def min_norm_point(
     MinNormResult
         The iterate, its norm, the final gap, the number of gradient
         evaluations, and the unit-ball witnesses reproducing the point.
-
-    Notes
-    -----
-    Each step solves the linear subproblem in closed form (the difference
-    set is a sum of ellipsoids, whose support maps are explicit) and uses
-    the exact quadratic line search, so the norm never increases.
+        Running out of iterations returns the iterate after the last step.
     """
-    e1, e2 = _coerce(e1), _coerce(e2)
-    _check_pair(e1, e2)
-    if tol < 0.0:
-        raise ValueError(f"tol must be >= 0, got {tol!r}")
-    limit = _resolve_max_iter(max_iter, e1.ambient_dim)
-    c_gap = e1.center - e2.center
-    b1, b2 = e1.shape, e2.shape
-    z = c_gap.copy()
-    x = np.zeros(b1.shape[1])
-    y = np.zeros(b2.shape[1])
-    gap = math.inf
-    iterations = 0
-    for _ in range(limit):
-        iterations += 1
-        b1t_z = b1.T @ z
-        b2t_z = b2.T @ z
-        n1 = float(np.linalg.norm(b1t_z))
-        n2 = float(np.linalg.norm(b2t_z))
-        x_lmo = -b1t_z / n1 if n1 > 0.0 else np.zeros_like(x)
-        y_lmo = b2t_z / n2 if n2 > 0.0 else np.zeros_like(y)
-        d = c_gap + b1 @ x_lmo - b2 @ y_lmo
-        gap = float(z @ (z - d))
+    e1, e2, limit = _prepare(e1, e2, tol, max_iter)
+    steps = _iterates(e1, e2)
+    for iterations, (z, x, y, _, _, gap) in enumerate(islice(steps, limit), 1):
         if gap <= tol:
             break
-        v = d - z
-        vv = float(v @ v)
-        if vv == 0.0:
-            break
-        gamma = min(gap / vv, 1.0)
-        z = z + gamma * v
-        x = x + gamma * (x_lmo - x)
-        y = y + gamma * (y_lmo - y)
+    else:
+        # out of iterations: take the last step too, unless the iteration stalled
+        z, x, y, *_ = next(steps, (z, x, y))
     return MinNormResult(
         point=z,
         norm=float(np.linalg.norm(z)),
@@ -216,21 +233,9 @@ def decide_disjoint(
     with that certificate). Exhausting ``max_iter`` (default 50 per
     ambient dimension) yields Indeterminate. Touching bodies intersect.
     """
-    e1, e2 = _coerce(e1), _coerce(e2)
-    _check_pair(e1, e2)
-    if tol < 0.0:
-        raise ValueError(f"tol must be >= 0, got {tol!r}")
-    limit = _resolve_max_iter(max_iter, e1.ambient_dim)
+    e1, e2, limit = _prepare(e1, e2, tol, max_iter)
     c_gap = e1.center - e2.center
-    b1, b2 = e1.shape, e2.shape
-    z = c_gap.copy()
-    x = np.zeros(b1.shape[1])
-    y = np.zeros(b2.shape[1])
-    margin = -math.inf
-    norm = float(np.linalg.norm(z))
-    iterations = 0
-    for _ in range(limit):
-        iterations += 1
+    for iterations, (z, x, y, n1, n2, _) in enumerate(islice(_iterates(e1, e2), limit), 1):
         norm = float(np.linalg.norm(z))
         if norm <= tol:
             return SeparationVerdict(
@@ -240,10 +245,6 @@ def decide_disjoint(
                 iterations=iterations,
                 witness=(x, y),
             )
-        b1t_z = b1.T @ z
-        b2t_z = b2.T @ z
-        n1 = float(np.linalg.norm(b1t_z))
-        n2 = float(np.linalg.norm(b2t_z))
         margin = (float(z @ c_gap) - n1 - n2) / norm
         if margin > 0.0:
             return SeparationVerdict(
@@ -253,19 +254,6 @@ def decide_disjoint(
                 iterations=iterations,
                 certificate=-z / norm,
             )
-        x_lmo = -b1t_z / n1 if n1 > 0.0 else np.zeros_like(x)
-        y_lmo = b2t_z / n2 if n2 > 0.0 else np.zeros_like(y)
-        d = c_gap + b1 @ x_lmo - b2 @ y_lmo
-        v = d - z
-        vv = float(v @ v)
-        if vv == 0.0:
-            break
-        gamma = min(float(z @ (z - d)) / vv, 1.0)
-        if gamma <= 0.0:
-            break
-        z = z + gamma * v
-        x = x + gamma * (x_lmo - x)
-        y = y + gamma * (y_lmo - y)
     return SeparationVerdict(
         state=INDETERMINATE, margin=margin, norm=norm, iterations=iterations
     )
@@ -326,30 +314,3 @@ def _null_projection_sq(matrix: np.ndarray, axis: np.ndarray) -> tuple[int, floa
     rank = int(np.sum(svals > scale * max(matrix.shape) * np.finfo(float).eps))
     null_component = vt[rank:] @ axis
     return rank, float(null_component @ null_component)
-
-
-def decide_projected_batch(
-    instances,
-    tol: float = DEFAULT_TOL,
-    max_iter: int | None = None,
-    jobs: int = 1,
-) -> list[SeparationVerdict]:
-    """Decide disjointness for many (projection, body, body) instances.
-
-    Results are ordered by input index regardless of the worker count.
-    """
-    items = list(instances)
-
-    def solve(item) -> SeparationVerdict:
-        projection, e1, e2 = item
-        return decide_disjoint(
-            project_body(projection, e1),
-            project_body(projection, e2),
-            tol=tol,
-            max_iter=max_iter,
-        )
-
-    if jobs <= 1:
-        return [solve(item) for item in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(solve, items))

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.special import gammaln, ndtr
 
 from ._rng import substream
-from .bodies import Ball, CircularCone, Ellipsoid
+from .bodies import CircularCone, Ellipsoid
 
 CIRCULAR_CURVE_SQ = "CircularCurveSq"
 ELLIPSOID_THEOREM = "EllipsoidTheorem"
@@ -267,12 +267,3 @@ def mc_expected_map_norm(matrix, trials: int, seed: int) -> MapNormEstimate:
         upper=fro,
         std_error=float(values.std(ddof=1) / math.sqrt(trials)),
     )
-
-
-def ball_pair_width_bound(ball1: Ball, ball2: Ball) -> WidthBound:
-    """Width bound for two balls via their exact circular difference cone.
-
-    Convenience wrapper: converts to ellipsoids and applies the
-    closed-form ellipsoid bound.
-    """
-    return width_bound_ellipsoids(ball1.to_ellipsoid(), ball2.to_ellipsoid())

@@ -1,4 +1,3 @@
-import json
 import unittest
 
 import numpy as np
@@ -11,13 +10,10 @@ from projsep.bodies import (
     contains,
     difference_cone,
     ellipsoid_from_dict,
-    ellipsoid_to_dict,
     fit_enclosing_ellipsoid,
     inscribed_ball,
     make_ellipsoid,
     project_body,
-    projection_from_dict,
-    projection_to_dict,
     support,
 )
 
@@ -281,23 +277,15 @@ class TestGaussianProjection(unittest.TestCase):
 
 class TestSerialization(unittest.TestCase):
     def test_ellipsoid_round_trip(self):
-        rng = np.random.default_rng(1)
-        body = random_body(rng, 3)
-        data = json.loads(json.dumps(ellipsoid_to_dict(body)))
+        data = {"center": [0.5, -1.25], "shape": [[2.0, 0.0, 0.1], [0.0, 0.3, 0.0]]}
         back = ellipsoid_from_dict(data)
-        np.testing.assert_array_equal(back.center, body.center)
-        np.testing.assert_array_equal(back.shape, body.shape)
+        np.testing.assert_array_equal(back.center, data["center"])
+        np.testing.assert_array_equal(back.shape, data["shape"])
 
     def test_ball_dict(self):
         back = ellipsoid_from_dict({"center": [1.0, 2.0], "radius": 0.5})
         np.testing.assert_array_equal(back.center, [1.0, 2.0])
         np.testing.assert_allclose(back.shape, 0.5 * np.eye(2))
-
-    def test_projection_round_trip(self):
-        proj = GaussianProjection(2, 7, seed=123)
-        back = projection_from_dict(json.loads(json.dumps(projection_to_dict(proj))))
-        self.assertEqual(back, proj)
-        np.testing.assert_array_equal(back.entries, proj.entries)
 
 
 class TestCone(unittest.TestCase):

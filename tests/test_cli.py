@@ -306,6 +306,18 @@ class TestConfigFile(unittest.TestCase):
             self.assertEqual(code, 0)
         self.assertEqual(json.loads(out)["eta"], 0.5)
 
+    def test_underscore_key_does_not_override_flag(self):
+        with tempfile.TemporaryDirectory() as tmp:
+            pair = write_pair(tmp, zeta=4.0)
+            cfg = Path(tmp) / "cfg.json"
+            cfg.write_text(json.dumps({"max_iter": 1}))
+            code, out, err = run_cli(
+                ["separate", "--pair", pair, "--max-iter", "500", "--config", str(cfg)]
+            )
+        self.assertEqual(code, 0)
+        self.assertEqual(json.loads(err.splitlines()[0])["max_iter"], 500)
+        self.assertLessEqual(json.loads(out)["iterations"], 500)
+
 
 if __name__ == "__main__":
     unittest.main()

@@ -1,6 +1,7 @@
 import tempfile
 import unittest
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
@@ -14,6 +15,7 @@ from projsep.experiments import (
     sample_wishart_shape,
     save_phase_grid,
 )
+from projsep.separation import decide_disjoint
 
 
 def grid_from_ratios(ms, ratios, trials=100):
@@ -44,9 +46,9 @@ class TestRunConePhase(unittest.TestCase):
         self.assertEqual(ratios[1], 0.0)
         self.assertEqual(ratios[2], 1.0)
 
-    def test_deterministic_and_job_invariant(self):
+    def test_deterministic(self):
         a = run_cone_phase(10, [0.3, 0.8], [2, 5, 8], trials=10, seed=7)
-        b = run_cone_phase(10, [0.3, 0.8], [2, 5, 8], trials=10, seed=7, jobs=3)
+        b = run_cone_phase(10, [0.3, 0.8], [2, 5, 8], trials=10, seed=7)
         np.testing.assert_array_equal(a.successes, b.successes)
 
     def test_ms_must_increase(self):
@@ -108,15 +110,24 @@ class TestRunEllipsoidPhase(unittest.TestCase):
         self.assertEqual(grid.meta["variant"], "hyperplane")
         self.assertEqual(grid.meta["preprojection_disjoint"][0][0], 5)
 
-    def test_deterministic_and_job_invariant(self):
+    def test_deterministic(self):
         a = run_ellipsoid_phase(5, [6.0, 20.0], [2, 4], trials=4, seed=14)
-        b = run_ellipsoid_phase(5, [6.0, 20.0], [2, 4], trials=4, seed=14, jobs=2)
+        b = run_ellipsoid_phase(5, [6.0, 20.0], [2, 4], trials=4, seed=14)
         np.testing.assert_array_equal(a.successes, b.successes)
         np.testing.assert_array_equal(a.indeterminate, b.indeterminate)
 
     def test_variant_validated(self):
         with self.assertRaises(ValueError):
             run_ellipsoid_phase(5, [4.0], [2], trials=2, seed=0, variant="spherical")
+
+    def test_zero_tol_reaches_the_solver(self):
+        with mock.patch(
+            "projsep.experiments.decide_disjoint", wraps=decide_disjoint
+        ) as spy:
+            grid = run_ellipsoid_phase(4, [6.0], [2], trials=2, seed=3, tol=0.0)
+        self.assertEqual(spy.call_count, 4)
+        self.assertEqual({call.kwargs["tol"] for call in spy.call_args_list}, {0.0})
+        self.assertEqual(grid.meta["tol"], 0.0)
 
 
 class TestEstimateTransition(unittest.TestCase):

@@ -15,7 +15,6 @@ from projsep.separation import (
     INDETERMINATE,
     INTERSECTING,
     decide_disjoint,
-    decide_projected_batch,
     dual_cone_margin,
     min_norm_point,
     nullspace_avoids_cone,
@@ -100,6 +99,26 @@ class TestMinNormPoint(unittest.TestCase):
         b2 = Ball(np.array([5.0, 0.0]), 1.0).to_ellipsoid()
         result = min_norm_point(b1, b2, tol=1e-12)
         self.assertLessEqual(result.norm**2 - 3.0**2, result.dual_gap + 1e-9)
+
+    def test_traces_the_iterates_decide_disjoint_checks(self):
+        # a verdict at iteration k reads the iterate after k - 1 steps, which
+        # min_norm_point returns once it runs out of k - 1 iterations
+        rng = np.random.default_rng(5)
+        seen = {DISJOINT: 0, INTERSECTING: 0}
+        for _ in range(40):
+            e1 = random_psd_ellipsoid(rng, 6, shape_scale=1.5)
+            e2 = random_psd_ellipsoid(rng, 6, shape_scale=1.5)
+            verdict = decide_disjoint(e1, e2, tol=0.01)
+            if verdict.iterations < 2 or verdict.state == INDETERMINATE:
+                continue
+            r = min_norm_point(e1, e2, tol=0.0, max_iter=verdict.iterations - 1)
+            seen[verdict.state] += 1
+            if verdict.state == DISJOINT:
+                self.assertTrue(np.array_equal(verdict.certificate, -r.point / r.norm))
+            else:
+                self.assertTrue(np.array_equal(verdict.witness[0], r.x))
+                self.assertTrue(np.array_equal(verdict.witness[1], r.y))
+        self.assertGreaterEqual(min(seen.values()), 5, seen)
 
 
 class TestDualConeMargin(unittest.TestCase):
@@ -289,26 +308,6 @@ class TestNullspaceAvoidsCone(unittest.TestCase):
             decided += 1
             self.assertEqual(check.avoids, bool(best_cos < np.cos(alpha)))
         self.assertGreaterEqual(decided, 25)
-
-
-class TestDecideProjectedBatch(unittest.TestCase):
-    def test_matches_scalar_calls(self):
-        rng = np.random.default_rng(11)
-        n = 6
-        b1 = Ball(np.zeros(n), 1.0).to_ellipsoid()
-        c2 = np.zeros(n)
-        c2[0] = 6.0
-        b2 = Ball(c2, 1.0).to_ellipsoid()
-        instances = [
-            (GaussianProjection(3, n, seed=s), b1, b2) for s in range(8)
-        ]
-        batch = decide_projected_batch(instances, jobs=3)
-        self.assertEqual(len(batch), 8)
-        for (proj, x, y), verdict in zip(instances, batch):
-            from projsep.bodies import project_body
-
-            solo = decide_disjoint(project_body(proj, x), project_body(proj, y))
-            self.assertEqual(verdict.state, solo.state)
 
 
 if __name__ == "__main__":

@@ -7,7 +7,6 @@ from projsep.bodies import Ball, CircularCone, make_ellipsoid
 from projsep.widths import (
     PairGeometry,
     alpha_star,
-    ball_pair_width_bound,
     circular_width_sq,
     lambda_m,
     mc_expected_map_norm,
@@ -127,11 +126,6 @@ class TestWidthBoundEllipsoids(unittest.TestCase):
             width_bound_ellipsoids(r1, r2).value,
             places=9,
         )
-
-    def test_ball_pair_wrapper(self):
-        e1, e2 = unit_ball_pair(100, 4.0)
-        b = ball_pair_width_bound(Ball(e1.center, 1.0), Ball(e2.center, 1.0))
-        self.assertAlmostEqual(b.value, width_bound_ellipsoids(e1, e2).value, places=12)
 
 
 class TestAlphaStar(unittest.TestCase):
