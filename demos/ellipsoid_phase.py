@@ -27,7 +27,6 @@ def main() -> None:
         trials=trials,
         seed=seed,
         variant="hyperplane",
-        max_iter=4000,
     )
     half = estimate_transition(grid, level=0.5)
     strict = estimate_transition(grid, level=0.95)

@@ -58,7 +58,6 @@ from .widths import (
     mc_expected_map_norm,
     mc_width_circular,
     mc_width_pseudoprojection,
-    positive_part_expectation,
     width_bound_ellipsoids,
 )
 
@@ -103,7 +102,6 @@ __all__ = [
     "mc_expected_map_norm",
     "mc_width_circular",
     "mc_width_pseudoprojection",
-    "positive_part_expectation",
     "width_bound_ellipsoids",
     "__version__",
 ]

@@ -64,16 +64,6 @@ class Ellipsoid:
     def ambient_dim(self) -> int:
         return self.center.shape[0]
 
-    @property
-    def is_degenerate(self) -> bool:
-        """True when the body is flat (shape rank below the ambient dimension)."""
-        if self.shape.shape[1] < self.ambient_dim:
-            return True
-        svals = np.linalg.svd(self.shape, compute_uv=False)
-        scale = float(svals[0]) if svals.size else 0.0
-        rank = int(np.sum(svals > max(scale, 1.0) * 1e-12))
-        return rank < self.ambient_dim
-
 
 @dataclass(frozen=True)
 class Ball:
@@ -266,7 +256,7 @@ def fit_enclosing_ellipsoid(samples, radius_scale: float | None = None) -> Ellip
     square root of the second-moment matrix ``(1/p) sum (x - mean)(x - mean)^T``.
     The default ``radius_scale = sqrt(n)`` matches an isotropic cloud's
     extent; no coverage guarantee is made for heavy-tailed data. A
-    rank-deficient cloud yields a flat ellipsoid (see ``is_degenerate``).
+    rank-deficient cloud yields a flat ellipsoid.
     """
     data = np.asarray(samples, dtype=float)
     if data.ndim != 2:

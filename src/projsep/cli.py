@@ -30,7 +30,7 @@ from .experiments import (
     save_phase_grid,
 )
 from .pca import toy_cross_polytope_balls, toy_two_balls
-from .separation import DEFAULT_TOL, decide_disjoint
+from .separation import decide_disjoint
 from .widths import mc_width_circular, mc_width_pseudoprojection, width_bound_ellipsoids
 from .bodies import CircularCone
 
@@ -118,11 +118,8 @@ def _cmd_bound(args: argparse.Namespace) -> int:
 
 def _cmd_separate(args: argparse.Namespace) -> int:
     e1, e2 = _load_pair(args.pair)
-    _echo_config(
-        args,
-        {"pair": args.pair, "tol": args.tol, "max_iter": args.max_iter, "out": args.out},
-    )
-    verdict = decide_disjoint(e1, e2, tol=args.tol, max_iter=args.max_iter)
+    _echo_config(args, {"pair": args.pair, "out": args.out})
+    verdict = decide_disjoint(e1, e2)
     _emit(verdict.to_dict(), args.out)
     return 0
 
@@ -160,19 +157,10 @@ def _cmd_ellipsoid_phase(args: argparse.Namespace) -> int:
             "trials": args.trials,
             "seed": seed,
             "variant": args.variant,
-            "tol": args.tol,
             "out": args.out,
         },
     )
-    grid = run_ellipsoid_phase(
-        args.n,
-        zetas,
-        ms,
-        args.trials,
-        seed,
-        variant=args.variant,
-        tol=args.tol,
-    )
+    grid = run_ellipsoid_phase(args.n, zetas, ms, args.trials, seed, variant=args.variant)
     save_phase_grid(grid, args.out)
     return 0
 
@@ -309,8 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("separate", help="decide disjointness with certificate")
     p.add_argument("--pair", required=True)
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    p.add_argument("--max-iter", type=int, default=None)
     p.add_argument("--out")
     common(p, seed=False)
     p.set_defaults(handler=_cmd_separate)
@@ -330,7 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ms", help="projected dimensions, defaults to 1..n")
     p.add_argument("--trials", type=int, default=50)
     p.add_argument("--variant", choices=("general", "hyperplane"), default="general")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--out", required=True)
     common(p)
     p.set_defaults(handler=_cmd_ellipsoid_phase)
@@ -375,34 +360,41 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser, argv) -> None:
-    if not getattr(args, "config", None):
-        return
+def _with_config(args: argparse.Namespace, argv: list[str]) -> list[str]:
+    """The arguments with the config file's values inserted as flags ahead of them.
+
+    argparse keeps the last value given for a flag, so explicit flags, in
+    full or abbreviated, override the file, and every value passes through
+    its flag's type. A list value repeats its flag, unless the flag was given.
+    """
     config = _load_json(args.config)
     if not isinstance(config, dict):
         raise ValueError("config file must hold a JSON object")
-    explicit = {token.split("=", 1)[0] for token in argv if token.startswith("--")}
+    flags = []
     for key, value in config.items():
         attr = key.replace("-", "_")
         if not hasattr(args, attr):
             raise ValueError(f"config key {key!r} is not a flag of this subcommand")
-        if f"--{key.replace('_', '-')}" in explicit:
+        if isinstance(value, list) and getattr(args, attr) is not None:
             continue
-        setattr(args, attr, value)
+        flag = "--" + key.replace("_", "-")
+        flags += [f"{flag}={v}" for v in (value if isinstance(value, list) else [value])]
+    at = argv.index(args.command) + 1
+    return argv[:at] + flags + argv[at:]
 
 
 def dispatch(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "command", None) is None:
+            parser.print_usage(sys.stderr)
+            return 2
+        if args.config:
+            args = parser.parse_args(_with_config(args, list(argv)))
+        return args.handler(args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if getattr(args, "command", None) is None:
-        parser.print_usage(sys.stderr)
-        return 2
-    try:
-        _apply_config(args, parser, argv)
-        return args.handler(args)
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {_slug(str(exc))}", file=sys.stderr)
         return 1

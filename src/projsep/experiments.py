@@ -23,13 +23,7 @@ import numpy as np
 
 from ._rng import substream
 from .bodies import CircularCone, Ellipsoid, make_ellipsoid
-from .separation import (
-    DEFAULT_TOL,
-    DISJOINT,
-    INDETERMINATE,
-    decide_disjoint,
-    nullspace_avoids_cone,
-)
+from .separation import DISJOINT, INDETERMINATE, decide_disjoint, nullspace_avoids_cone
 from .widths import width_bound_ellipsoids
 
 CSV_HEADER = ("param", "M", "trials", "successes", "indeterminate")
@@ -44,8 +38,9 @@ class PhaseGrid:
     """Success counts over a (parameter, projected dimension) grid.
 
     ``successes[i, j]`` counts Disjoint verdicts for ``axis1[i]`` and
-    ``axis2[j]``; ``indeterminate`` tallies solver timeouts separately
-    (they count as failures in the success ratio).
+    ``axis2[j]``; ``indeterminate`` tallies verdicts whose certificate and
+    witness both failed their checks (they count as failures in the success
+    ratio).
     """
 
     axis1: tuple[float, ...]
@@ -182,7 +177,6 @@ def run_ellipsoid_phase(
     trials: int,
     seed: int,
     variant: str = "general",
-    tol: float = DEFAULT_TOL,
     max_iter: int | None = None,
 ) -> PhaseGrid:
     """Sweep center gaps against projected dimensions for Wishart ellipsoids.
@@ -193,6 +187,9 @@ def run_ellipsoid_phase(
     success when the solver certifies the projected bodies disjoint.
     Unprojected pairs are never prefiltered; their status and the mean
     squared width bound per gap are recorded in ``meta`` instead.
+
+    ``max_iter`` is accepted and ignored: the decision is exact and has no
+    iteration cap. The keyword remains for callers that still pass it.
     """
     if n < 2:
         raise ValueError(f"ambient dimension must be >= 2, got {n}")
@@ -235,13 +232,11 @@ def run_ellipsoid_phase(
                 # parallel hyperplanes <z, axis> = +/- zeta/2 are disjoint
                 preprojection += zeta > 0.0
             else:
-                pre = decide_disjoint(body1, body2, tol=tol, max_iter=max_iter)
+                pre = decide_disjoint(body1, body2)
                 preprojection += pre.state == DISJOINT
             verdict = decide_disjoint(
                 Ellipsoid(matrix @ c1, matrix @ shape1),
                 Ellipsoid(-(matrix @ c1), matrix @ shape2),
-                tol=tol,
-                max_iter=max_iter,
             )
             disjoint += verdict.state == DISJOINT
             indeterminate += verdict.state == INDETERMINATE
@@ -260,8 +255,6 @@ def run_ellipsoid_phase(
     meta.update(
         {
             "variant": variant,
-            "tol": tol,
-            "max_iter": max_iter,
             "preprojection_disjoint": preproj,
             "mean_sq_bound": mean_sq_bound,
         }

@@ -1,20 +1,23 @@
-"""Deciding disjointness of two ellipsoids, exactly or by certificate.
+"""Deciding disjointness of two ellipsoids exactly, with checked certificates.
 
-Disjointness of bodies A and B is equivalent to the difference set
-``A - B`` missing the origin, so the decision reduces to a minimum-norm
-point over the difference set (a conditional-gradient solve with exact
-line search) plus two certificates: a small norm witnesses intersection,
-and a dual-cone direction with positive margin witnesses separation.
+Write ``d = c2 - c1`` and ``Si = Bi Bi'``. The bodies meet iff ``d`` lies
+in the Minkowski sum of the centred bodies, which is the intersection of
+the outer ellipsoids ``{z : z' (S1/(1-s) + S2/s)^-1 z <= 1}`` over ``s`` in
+(0, 1) (Kurzhanski and Valyi, 1997). Whitening ``S1 + S2`` on its range
+turns that into one concave function of ``s`` (Gilitschenski and Hanebeck,
+2012): the bodies are disjoint iff ``f(s) = sum_i v_i^2 s(1-s) / (mu_i s +
+(1-mu_i)(1-s))`` exceeds 1 somewhere on [0, 1]. Every verdict is checked
+before it is returned. ``min_norm_point`` keeps the conditional-gradient
+minimum-norm point of ``E1 - E2`` for distances.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
+from itertools import count
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .bodies import Ball, CircularCone, Ellipsoid, GaussianProjection
 
@@ -22,8 +25,10 @@ DISJOINT = "Disjoint"
 INTERSECTING = "Intersecting"
 INDETERMINATE = "Indeterminate"
 
-DEFAULT_TOL = 1e-7
-MAX_ITER_PER_DIM = 50
+# relative rounding allowed in an Intersecting witness
+WITNESS_TOL = 1e-9
+# whitened extents mu within this of 0 or 1 are rounding: that body is flat there
+FLAT_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -48,8 +53,12 @@ class SeparationVerdict:
 
     ``certificate`` (Disjoint) is a unit direction with positive dual-cone
     margin; ``witness`` (Intersecting) is the pair of unit-ball preimages
-    of a common point, up to the intersect tolerance. Touching bodies
-    count as Intersecting.
+    of a common point, up to ``WITNESS_TOL`` relative rounding. Touching
+    bodies count as Intersecting. ``norm`` is the factor by which both
+    bodies, scaled about their centres, touch: ``sqrt(max f)`` for
+    Intersecting, and for Disjoint the lower bound ``<w, d> / (||B1'w|| +
+    ||B2'w||)`` that the certificate w proves (None in ``to_dict`` when
+    infinite). ``iterations`` counts evaluations of f.
     """
 
     state: str
@@ -63,7 +72,7 @@ class SeparationVerdict:
         return {
             "state": self.state,
             "margin": self.margin,
-            "norm": self.norm,
+            "norm": self.norm if math.isfinite(self.norm) else None,
             "iterations": self.iterations,
             "certificate": None if self.certificate is None else self.certificate.tolist(),
             "witness": None
@@ -91,86 +100,35 @@ class NullspaceCheck:
         return self.avoids
 
 
-def _coerce(body: Ellipsoid | Ball) -> Ellipsoid:
-    return body.to_ellipsoid() if isinstance(body, Ball) else body
-
-
-def _check_pair(e1: Ellipsoid, e2: Ellipsoid) -> None:
+def _pair(e1: Ellipsoid | Ball, e2: Ellipsoid | Ball) -> tuple[Ellipsoid, Ellipsoid]:
+    e1, e2 = (e.to_ellipsoid() if isinstance(e, Ball) else e for e in (e1, e2))
     if e1.ambient_dim != e2.ambient_dim:
         raise ValueError(
             f"bodies must share an ambient dimension, got {e1.ambient_dim} "
             f"and {e2.ambient_dim}"
         )
-
-
-def _prepare(
-    e1: Ellipsoid | Ball, e2: Ellipsoid | Ball, tol: float, max_iter: int | None
-) -> tuple[Ellipsoid, Ellipsoid, int]:
-    """Validated bodies and iteration limit (default 50 per ambient dimension)."""
-    e1, e2 = _coerce(e1), _coerce(e2)
-    _check_pair(e1, e2)
-    if tol < 0.0:
-        raise ValueError(f"tol must be >= 0, got {tol!r}")
-    if max_iter is None:
-        return e1, e2, MAX_ITER_PER_DIM * e1.ambient_dim
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-    return e1, e2, max_iter
-
-
-def _iterates(e1: Ellipsoid, e2: Ellipsoid):
-    """Conditional-gradient iterates for the minimum-norm point of ``E1 - E2``.
-
-    Yields ``(z, x, y, n1, n2, gap)`` before each step, where ``z = (c1 -
-    c2) + B1 @ x - B2 @ y``, ``n1, n2 = ||B1' z||, ||B2' z||`` and ``gap =
-    <z, z - d>`` is the duality gap at the linear minimizer d. Each step
-    solves the linear subproblem in closed form (the difference set is a
-    sum of ellipsoids, whose support maps are explicit) and uses the exact
-    quadratic line search, so the norm never increases. The iteration
-    ends only once a step would make no progress; callers stop it at
-    their own rule.
-    """
-    c_gap = e1.center - e2.center
-    b1, b2 = e1.shape, e2.shape
-    z = c_gap.copy()
-    x = np.zeros(b1.shape[1])
-    y = np.zeros(b2.shape[1])
-    while True:
-        b1t_z = b1.T @ z
-        b2t_z = b2.T @ z
-        n1 = float(np.linalg.norm(b1t_z))
-        n2 = float(np.linalg.norm(b2t_z))
-        x_lmo = -b1t_z / n1 if n1 > 0.0 else np.zeros_like(x)
-        y_lmo = b2t_z / n2 if n2 > 0.0 else np.zeros_like(y)
-        d = c_gap + b1 @ x_lmo - b2 @ y_lmo
-        gap = float(z @ (z - d))
-        yield z, x, y, n1, n2, gap
-        v = d - z
-        vv = float(v @ v)
-        if vv == 0.0:
-            return
-        gamma = min(gap / vv, 1.0)
-        if gamma <= 0.0:
-            return
-        z = z + gamma * v
-        x = x + gamma * (x_lmo - x)
-        y = y + gamma * (y_lmo - y)
+    return e1, e2
 
 
 def min_norm_point(
     e1: Ellipsoid | Ball,
     e2: Ellipsoid | Ball,
-    tol: float = DEFAULT_TOL,
+    tol: float = 1e-7,
     max_iter: int | None = None,
 ) -> MinNormResult:
     """Minimum-norm point of ``E1 - E2`` by conditional gradient.
+
+    Each step solves the linear subproblem in closed form (the difference
+    set is a sum of ellipsoids, whose support maps are explicit) and uses
+    the exact quadratic line search, so the norm never increases.
 
     Parameters
     ----------
     e1, e2 : Ellipsoid or Ball
         Bodies in a common ambient dimension.
     tol : float
-        Stop once the duality gap ``<z, z - d>`` falls to this level.
+        Stop once the duality gap ``<z, z - d>`` at the linear minimizer
+        d falls to this level.
     max_iter : int, optional
         Defaults to 50 times the ambient dimension.
 
@@ -181,14 +139,34 @@ def min_norm_point(
         evaluations, and the unit-ball witnesses reproducing the point.
         Running out of iterations returns the iterate after the last step.
     """
-    e1, e2, limit = _prepare(e1, e2, tol, max_iter)
-    steps = _iterates(e1, e2)
-    for iterations, (z, x, y, _, _, gap) in enumerate(islice(steps, limit), 1):
-        if gap <= tol:
+    e1, e2 = _pair(e1, e2)
+    if tol < 0.0:
+        raise ValueError(f"tol must be >= 0, got {tol!r}")
+    limit = 50 * e1.ambient_dim if max_iter is None else max_iter
+    if limit < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    c_gap = e1.center - e2.center
+    b1, b2 = e1.shape, e2.shape
+    z = c_gap.copy()
+    x = np.zeros(b1.shape[1])
+    y = np.zeros(b2.shape[1])
+    for iterations in range(1, limit + 1):
+        b1t_z = b1.T @ z
+        b2t_z = b2.T @ z
+        n1 = float(np.linalg.norm(b1t_z))
+        n2 = float(np.linalg.norm(b2t_z))
+        x_lmo = -b1t_z / n1 if n1 > 0.0 else np.zeros_like(x)
+        y_lmo = b2t_z / n2 if n2 > 0.0 else np.zeros_like(y)
+        d = c_gap + b1 @ x_lmo - b2 @ y_lmo
+        gap = float(z @ (z - d))
+        v = d - z
+        vv = float(v @ v)
+        if gap <= tol or vv == 0.0:
             break
-    else:
-        # out of iterations: take the last step too, unless the iteration stalled
-        z, x, y, *_ = next(steps, (z, x, y))
+        gamma = min(gap / vv, 1.0)
+        z = z + gamma * v
+        x = x + gamma * (x_lmo - x)
+        y = y + gamma * (y_lmo - y)
     return MinNormResult(
         point=z,
         norm=float(np.linalg.norm(z)),
@@ -205,8 +183,7 @@ def dual_cone_margin(w, e1: Ellipsoid | Ball, e2: Ellipsoid | Ball) -> float:
     Positive iff the hyperplane normal to w strictly separates the bodies
     (w points from the first body toward the second).
     """
-    e1, e2 = _coerce(e1), _coerce(e2)
-    _check_pair(e1, e2)
+    e1, e2 = _pair(e1, e2)
     w = np.asarray(w, dtype=float)
     if w.shape != (e1.ambient_dim,):
         raise ValueError("direction dimension does not match the bodies")
@@ -219,43 +196,127 @@ def dual_cone_margin(w, e1: Ellipsoid | Ball, e2: Ellipsoid | Ball) -> float:
     )
 
 
-def decide_disjoint(
-    e1: Ellipsoid | Ball,
-    e2: Ellipsoid | Ball,
-    tol: float = DEFAULT_TOL,
-    max_iter: int | None = None,
-) -> SeparationVerdict:
-    """Decide whether two bodies are disjoint, with a checkable certificate.
-
-    Runs the minimum-norm iteration and stops at the first of: iterate norm
-    at most ``tol`` (Intersecting, with unit-ball witnesses), or the
-    negated unit iterate achieving positive dual-cone margin (Disjoint,
-    with that certificate). Exhausting ``max_iter`` (default 50 per
-    ambient dimension) yields Indeterminate. Touching bodies intersect.
-    """
-    e1, e2, limit = _prepare(e1, e2, tol, max_iter)
-    c_gap = e1.center - e2.center
-    for iterations, (z, x, y, n1, n2, _) in enumerate(islice(_iterates(e1, e2), limit), 1):
-        norm = float(np.linalg.norm(z))
-        if norm <= tol:
-            return SeparationVerdict(
-                state=INTERSECTING,
-                margin=0.0,
-                norm=norm,
-                iterations=iterations,
-                witness=(x, y),
-            )
-        margin = (float(z @ c_gap) - n1 - n2) / norm
-        if margin > 0.0:
-            return SeparationVerdict(
-                state=DISJOINT,
-                margin=margin,
-                norm=norm,
-                iterations=iterations,
-                certificate=-z / norm,
-            )
+def _certified(direction, e1: Ellipsoid, e2: Ellipsoid, evaluations: int):
+    """Disjoint with the unit direction as certificate, if its margin is positive."""
+    length = float(np.linalg.norm(direction))
+    if not length > 0.0:
+        return None
+    w = direction / length
+    margin = dual_cone_margin(w, e1, e2)
+    if not margin > 0.0:
+        return None
+    along = float(w @ (e2.center - e1.center))
     return SeparationVerdict(
-        state=INDETERMINATE, margin=margin, norm=norm, iterations=iterations
+        state=DISJOINT,
+        margin=margin,
+        norm=along / (along - margin) if along > margin else math.inf,
+        iterations=evaluations,
+        certificate=w,
+    )
+
+
+def _weights(mu: np.ndarray, s: float) -> tuple[np.ndarray, np.ndarray]:
+    """``s`` and ``1 - s`` over ``mu s + (1 - mu)(1 - s)``, per coordinate.
+
+    Coordinates where body 1 (``mu = 0``) or body 2 (``mu = 1``) is flat
+    take their limits, so ``s`` may be an endpoint of [0, 1].
+    """
+    flat1, flat2 = mu == 0.0, mu == 1.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        den = mu * s + (1.0 - mu) * (1.0 - s)
+        a = np.where(flat1, 0.0, np.where(flat2, 1.0, s / den))
+        b = np.where(flat2, 0.0, np.where(flat1, 1.0, (1.0 - s) / den))
+    return a, b
+
+
+def _maximize(mu: np.ndarray, v2: np.ndarray) -> tuple[float, float, int]:
+    """Maximizer ``s`` of the concave ``f`` on [0, 1], or an ``s`` with ``f(s) > 1``.
+
+    Returns ``(s, f(s), evaluations)``. The sign of ``f'`` at each endpoint
+    settles the flat-body cases in closed form; otherwise a bracketed
+    Newton iteration on ``f'`` runs until ``f`` exceeds 1, ``f'`` vanishes,
+    the Newton step no longer moves ``s``, or the bracket holds no float.
+    """
+    flat1, flat2 = mu == 0.0, mu == 1.0
+    if np.sum(v2[~flat2] / (1.0 - mu[~flat2])) <= np.sum(v2[flat2]):
+        return 0.0, float(np.sum(v2[flat2])), 1
+    if np.sum(v2[~flat1] / mu[~flat1]) <= np.sum(v2[flat1]):
+        return 1.0, float(np.sum(v2[flat1])), 1
+    lo, hi, s = 0.0, 1.0, 0.5
+    for evaluations in count(1):
+        den = mu * s + (1.0 - mu) * (1.0 - s)
+        f = s * (1.0 - s) * float(np.sum(v2 / den))
+        slope = float(np.sum(v2 * ((1.0 - mu) * (1.0 - s) ** 2 - mu * s * s) / den**2))
+        if f > 1.0 or slope == 0.0:
+            return s, f, evaluations
+        if slope > 0.0:
+            lo = s
+        else:
+            hi = s
+        curvature = -2.0 * float(np.sum(v2 * mu * (1.0 - mu) / den**3))
+        step = s - slope / curvature if curvature < 0.0 else 0.5 * (lo + hi)
+        if step == s:
+            return s, f, evaluations
+        following = step if lo < step < hi else 0.5 * (lo + hi)
+        if not lo < following < hi:
+            return s, f, evaluations
+        s = following
+
+
+def decide_disjoint(e1: Ellipsoid | Ball, e2: Ellipsoid | Ball) -> SeparationVerdict:
+    """Decide whether two bodies are disjoint, exactly, with a checked certificate.
+
+    In order: the centre-line direction ``d / ||d||`` may separate; a
+    component of ``d`` outside the range of ``S1 + S2`` separates; else
+    the maximum of ``f`` decides. Above 1, ``lam = (S1/(1-s) + S2/s)^-1 d``
+    separates; at most 1, the maximizer ``s`` gives the common point
+    ``c1 + B1 x = c2 + B2 y`` with ``x = B1' lam / (1-s)`` and ``y = -B2'
+    lam / s``, where ``||x|| = ||y|| = sqrt(max f)`` at an interior
+    maximum. A certificate is returned only with a positive
+    ``dual_cone_margin``, a witness only if it reproduces a common point up
+    to ``WITNESS_TOL``; Indeterminate is left when neither check accepts.
+    Touching bodies intersect.
+    """
+    e1, e2 = _pair(e1, e2)
+    b1, b2 = e1.shape, e2.shape
+    d = e2.center - e1.center
+    verdict = _certified(d, e1, e2, 0)
+    if verdict is not None:
+        return verdict
+    # [B1 B2] = U diag(sigma) [P1 P2] whitens S1 + S2 = U diag(sigma^2) U' on
+    # its range without squaring its condition number, as eigh(S1 + S2) would
+    both = np.hstack((b1, b2))
+    basis, sigma, rows = np.linalg.svd(both, full_matrices=False)
+    rank = int(np.sum(sigma > sigma[:1] * max(both.shape) * np.finfo(float).eps))
+    basis, sigma, rows = basis[:, :rank], sigma[:rank], rows[:rank]
+    verdict = _certified(d - basis @ (basis.T @ d), e1, e2, 0)
+    if verdict is not None:
+        return verdict
+    p1, p2 = rows[:, : b1.shape[1]], rows[:, b1.shape[1] :]
+    mu, rotation = np.linalg.eigh(p1 @ p1.T)
+    mu = np.where(mu < FLAT_TOL, 0.0, np.where(mu > 1.0 - FLAT_TOL, 1.0, mu))
+    coords = rotation.T @ ((basis.T @ d) / sigma)
+    s, f, evaluations = _maximize(mu, coords**2)
+    a, b = _weights(mu, s)
+    if f > 1.0:
+        # s (1 - s) / den, which is 1 - s where body 2 is flat
+        weight = np.where(mu == 1.0, (1.0 - s) * a, s * b)
+        lam = basis @ ((rotation @ (weight * coords)) / sigma)
+        verdict = _certified(lam, e1, e2, evaluations)
+        if verdict is not None:
+            return verdict
+    x = p1.T @ (rotation @ (a * coords))
+    y = -(p2.T @ (rotation @ (b * coords)))
+    size = max(float(np.linalg.norm(v)) for v in (e1.center, e2.center, b1, b2))
+    residual = float(np.linalg.norm(e1.center + b1 @ x - e2.center - b2 @ y))
+    reach = max(float(np.linalg.norm(x)), float(np.linalg.norm(y)))
+    witnessed = reach <= 1.0 + WITNESS_TOL and residual <= WITNESS_TOL * size
+    return SeparationVerdict(
+        state=INTERSECTING if witnessed else INDETERMINATE,
+        margin=0.0,
+        norm=math.sqrt(f),
+        iterations=evaluations,
+        witness=(x, y) if witnessed else None,
     )
 
 
@@ -300,6 +361,10 @@ def _null_projection_sq(matrix: np.ndarray, axis: np.ndarray) -> tuple[int, floa
     Fast path assumes full row rank (Gram Cholesky); any numerical doubt
     falls back to a rank-revealing SVD.
     """
+    # imported here: scipy.linalg adds about 6 MB and 60 ms to every import
+    # of the package, and nothing else needs it
+    from scipy.linalg import LinAlgError, cho_factor, cho_solve
+
     m = matrix.shape[0]
     p_axis = matrix @ axis
     try:

@@ -166,15 +166,8 @@ def alpha_star(geom: PairGeometry, g2) -> float:
     return numerator / geom.denominator
 
 
-def positive_part_expectation(a: float) -> float:
-    """``E (a - g)_+`` for a standard normal g: ``a * Phi(a) + phi(a)``."""
-    a = float(a)
-    if math.isnan(a):
-        raise ValueError("argument must not be NaN")
-    return a * float(ndtr(a)) + INV_SQRT_2PI * math.exp(-0.5 * a * a)
-
-
 def _positive_part_expectation_vec(a: np.ndarray) -> np.ndarray:
+    """``E (a - g)_+`` for a standard normal g: ``a * Phi(a) + phi(a)``."""
     return a * ndtr(a) + INV_SQRT_2PI * np.exp(-0.5 * a * a)
 
 
@@ -193,7 +186,7 @@ def mc_width_pseudoprojection(
     """Monte Carlo width bound via the axis-orthogonal Gaussian split.
 
     Each trial draws a standard normal, removes its component along the
-    pair axis, and evaluates ``positive_part_expectation(alpha_star)``;
+    pair axis, and evaluates ``E (alpha_star - g)_+``;
     the sample mean upper-bounds the difference-cone width in expectation.
     Deterministic given the seed.
     """

@@ -306,17 +306,89 @@ class TestConfigFile(unittest.TestCase):
             self.assertEqual(code, 0)
         self.assertEqual(json.loads(out)["eta"], 0.5)
 
-    def test_underscore_key_does_not_override_flag(self):
+    def run_with_config(self, config, argv):
         with tempfile.TemporaryDirectory() as tmp:
-            pair = write_pair(tmp, zeta=4.0)
             cfg = Path(tmp) / "cfg.json"
-            cfg.write_text(json.dumps({"max_iter": 1}))
-            code, out, err = run_cli(
-                ["separate", "--pair", pair, "--max-iter", "500", "--config", str(cfg)]
+            cfg.write_text(json.dumps(config))
+            out = str(Path(tmp) / "out.csv")
+            return run_cli(argv + ["--config", str(cfg), "--out", out])
+
+    def test_underscore_key_does_not_override_flag(self):
+        code, _, err = self.run_with_config(
+            {"center_norm": 9.0},
+            ["pca-toy", "--n", "2", "--radius", "0.5", "--samples", "5", "--seed", "1",
+             "--center-norm", "3.0"],
+        )
+        self.assertEqual(code, 0)
+        self.assertEqual(json.loads(err.splitlines()[0])["center_norm"], 3.0)
+
+    def test_abbreviated_flag_overrides_config(self):
+        code, _, err = self.run_with_config(
+            {"trials": 1},
+            ["cone-phase", "--n", "5", "--grid", "0.4", "--ms", "2", "--seed", "1",
+             "--tri", "5"],
+        )
+        self.assertEqual(code, 0)
+        self.assertEqual(json.loads(err.splitlines()[0])["trials"], 5)
+
+    def test_config_values_take_the_flag_type(self):
+        code, _, err = self.run_with_config(
+            {"trials": "3", "seed": 7},
+            ["cone-phase", "--n", "5", "--grid", "0.4", "--ms", "2"],
+        )
+        self.assertEqual(code, 0)
+        config = json.loads(err.splitlines()[0])
+        self.assertEqual((config["trials"], config["seed"]), (3, 7))
+
+    def test_bad_config_value_is_a_usage_error(self):
+        code, _, err = self.run_with_config(
+            {"trials": "abc"},
+            ["cone-phase", "--n", "5", "--grid", "0.4", "--ms", "2", "--seed", "1"],
+        )
+        self.assertEqual(code, 2)
+        self.assertEqual(sum(line.startswith("error:") or ": error:" in line
+                             for line in err.splitlines()), 1)
+        self.assertIn("--trials", err)
+        self.assertNotIn("Traceback", err)
+
+    def test_explicit_flag_replaces_a_config_list(self):
+        with tempfile.TemporaryDirectory() as tmp:
+            data = str(Path(tmp) / "toy.csv")
+            run_cli(["pca-toy", "--n", "2", "--radius", "0.5", "--center-norm", "3.0",
+                     "--samples", "20", "--seed", "1", "--out", data])
+            code, _, err = self.run_with_config(
+                {"method": ["identity", "pca:1"]},
+                ["classify", "--data", data, "--max-iters", "20", "--seed", "2",
+                 "--method", "rp:1"],
             )
         self.assertEqual(code, 0)
-        self.assertEqual(json.loads(err.splitlines()[0])["max_iter"], 500)
-        self.assertLessEqual(json.loads(out)["iterations"], 500)
+        self.assertEqual(json.loads(err.splitlines()[0])["methods"], ["rp:1"])
+
+    def test_unknown_config_key(self):
+        code, _, err = self.run_with_config(
+            {"max-iter": 4000},
+            ["ellipsoid-phase", "--n", "4", "--grid", "6", "--ms", "2", "--trials", "1"],
+        )
+        self.assertEqual(code, 1)
+        self.assertIn("error: config-key-max-iter-is-not-a-flag-of-this-subcommand", err)
+
+
+class TestRemovedSolverFlags(unittest.TestCase):
+    def test_separate_has_no_tolerance_or_cap(self):
+        with tempfile.TemporaryDirectory() as tmp:
+            pair = write_pair(tmp, zeta=4.0, n=3)
+            for flag, value in (("--tol", "1e-7"), ("--max-iter", "500")):
+                code, _, err = run_cli(["separate", "--pair", pair, flag, value])
+                self.assertEqual(code, 2, flag)
+                self.assertIn("unrecognized arguments", err)
+
+    def test_ellipsoid_phase_has_no_tolerance(self):
+        code, _, err = run_cli(
+            ["ellipsoid-phase", "--n", "4", "--grid", "6", "--out", "unused.csv",
+             "--tol", "1e-7"]
+        )
+        self.assertEqual(code, 2)
+        self.assertIn("unrecognized arguments", err)
 
 
 if __name__ == "__main__":

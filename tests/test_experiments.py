@@ -1,7 +1,6 @@
 import tempfile
 import unittest
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 
@@ -15,7 +14,6 @@ from projsep.experiments import (
     sample_wishart_shape,
     save_phase_grid,
 )
-from projsep.separation import decide_disjoint
 
 
 def grid_from_ratios(ms, ratios, trials=100):
@@ -120,14 +118,12 @@ class TestRunEllipsoidPhase(unittest.TestCase):
         with self.assertRaises(ValueError):
             run_ellipsoid_phase(5, [4.0], [2], trials=2, seed=0, variant="spherical")
 
-    def test_zero_tol_reaches_the_solver(self):
-        with mock.patch(
-            "projsep.experiments.decide_disjoint", wraps=decide_disjoint
-        ) as spy:
-            grid = run_ellipsoid_phase(4, [6.0], [2], trials=2, seed=3, tol=0.0)
-        self.assertEqual(spy.call_count, 4)
-        self.assertEqual({call.kwargs["tol"] for call in spy.call_args_list}, {0.0})
-        self.assertEqual(grid.meta["tol"], 0.0)
+    def test_max_iter_is_ignored(self):
+        a = run_ellipsoid_phase(5, [3.0, 8.0], [2, 5], trials=4, seed=15)
+        b = run_ellipsoid_phase(5, [3.0, 8.0], [2, 5], trials=4, seed=15, max_iter=1)
+        np.testing.assert_array_equal(a.successes, b.successes)
+        self.assertEqual(int(b.indeterminate.sum()), 0)
+        self.assertFalse({"tol", "max_iter"} & set(b.meta))
 
 
 class TestEstimateTransition(unittest.TestCase):

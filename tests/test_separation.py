@@ -1,6 +1,9 @@
 import unittest
 
 import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from projsep.bodies import (
     Ball,
@@ -30,6 +33,24 @@ def preimage_norms(body, points):
     # ||x|| for shape @ x = p - center, one per point; full-rank shapes only
     solved = np.linalg.solve(body.shape, (points - body.center).T)
     return np.linalg.norm(solved, axis=0)
+
+
+def assert_checked(case, verdict, e1, e2):
+    """The certificate separates or the witness is a common point, rechecked here."""
+    e1 = e1.to_ellipsoid() if isinstance(e1, Ball) else e1
+    e2 = e2.to_ellipsoid() if isinstance(e2, Ball) else e2
+    if verdict.state == DISJOINT:
+        w = verdict.certificate
+        case.assertAlmostEqual(float(np.linalg.norm(w)), 1.0, places=12)
+        case.assertLess(support(e1, w)[0], -support(e2, -w)[0])
+        case.assertGreater(verdict.margin, 0.0)
+    else:
+        case.assertEqual(verdict.state, INTERSECTING)
+        x, y = verdict.witness
+        case.assertLessEqual(max(np.linalg.norm(x), np.linalg.norm(y)), 1.0 + 1e-9)
+        size = max(np.linalg.norm(a) for a in (e1.center, e2.center, e1.shape, e2.shape))
+        p1, p2 = e1.center + e1.shape @ x, e2.center + e2.shape @ y
+        case.assertLessEqual(np.linalg.norm(p1 - p2), 1e-9 * size)
 
 
 def brute_force_expected(e1, e2, grid=2000):
@@ -100,25 +121,34 @@ class TestMinNormPoint(unittest.TestCase):
         result = min_norm_point(b1, b2, tol=1e-12)
         self.assertLessEqual(result.norm**2 - 3.0**2, result.dual_gap + 1e-9)
 
-    def test_traces_the_iterates_decide_disjoint_checks(self):
-        # a verdict at iteration k reads the iterate after k - 1 steps, which
-        # min_norm_point returns once it runs out of k - 1 iterations
+    def test_out_of_iterations_returns_the_iterate_after_the_last_step(self):
+        # the run capped at k + 1 iterations reports the gap of the iterate
+        # after k steps, which the run capped at k must return
         rng = np.random.default_rng(5)
-        seen = {DISJOINT: 0, INTERSECTING: 0}
-        for _ in range(40):
+        checked = 0
+        for _ in range(10):
             e1 = random_psd_ellipsoid(rng, 6, shape_scale=1.5)
-            e2 = random_psd_ellipsoid(rng, 6, shape_scale=1.5)
-            verdict = decide_disjoint(e1, e2, tol=0.01)
-            if verdict.iterations < 2 or verdict.state == INDETERMINATE:
-                continue
-            r = min_norm_point(e1, e2, tol=0.0, max_iter=verdict.iterations - 1)
-            seen[verdict.state] += 1
-            if verdict.state == DISJOINT:
-                self.assertTrue(np.array_equal(verdict.certificate, -r.point / r.norm))
-            else:
-                self.assertTrue(np.array_equal(verdict.witness[0], r.x))
-                self.assertTrue(np.array_equal(verdict.witness[1], r.y))
-        self.assertGreaterEqual(min(seen.values()), 5, seen)
+            e2 = random_psd_ellipsoid(rng, 6, center_scale=3.0, shape_scale=1.5)
+            c_gap = e1.center - e2.center
+            for k in range(1, 6):
+                r = min_norm_point(e1, e2, tol=0.0, max_iter=k)
+                following = min_norm_point(e1, e2, tol=0.0, max_iter=k + 1)
+                if following.iterations != k + 1:
+                    break
+                z = r.point
+                gap = (
+                    z @ z
+                    - z @ c_gap
+                    + np.linalg.norm(e1.shape.T @ z)
+                    + np.linalg.norm(e2.shape.T @ z)
+                )
+                self.assertEqual(r.iterations, k)
+                self.assertAlmostEqual(following.dual_gap, gap, delta=1e-9 * (1.0 + gap))
+                np.testing.assert_allclose(
+                    z, c_gap + e1.shape @ r.x - e2.shape @ r.y, atol=1e-12
+                )
+                checked += 1
+        self.assertGreaterEqual(checked, 30)
 
 
 class TestDualConeMargin(unittest.TestCase):
@@ -162,6 +192,8 @@ class TestDecideDisjoint(unittest.TestCase):
         verdict = decide_disjoint(b1, b2)
         self.assertEqual(verdict.state, INTERSECTING)
         self.assertEqual(verdict.margin, 0.0)
+        assert_checked(self, verdict, b1, b2)
+        self.assertAlmostEqual(verdict.norm, 1.0, places=12)
 
     def test_overlapping_witness(self):
         b1 = Ball(np.zeros(2), 1.0)
@@ -172,8 +204,9 @@ class TestDecideDisjoint(unittest.TestCase):
         x, y = verdict.witness
         p1 = b1.to_ellipsoid().center + b1.to_ellipsoid().shape @ x
         p2 = b2.to_ellipsoid().center + b2.to_ellipsoid().shape @ y
-        # witness certifies a common point up to the solver tolerance
-        self.assertLess(np.linalg.norm(p1 - p2), 1e-3)
+        # the witness is a common point up to rounding
+        self.assertLess(np.linalg.norm(p1 - p2), 1e-12)
+        self.assertAlmostEqual(verdict.norm, 0.5, places=12)
 
     def test_certificate_strictly_separates(self):
         rng = np.random.default_rng(55)
@@ -221,25 +254,15 @@ class TestDecideDisjoint(unittest.TestCase):
         for _ in range(40):
             e1 = random_psd_ellipsoid(rng, 2, center_scale=1.5)
             e2 = random_psd_ellipsoid(rng, 2, center_scale=1.5)
-            verdict = decide_disjoint(e1, e2, max_iter=20_000)
+            verdict = decide_disjoint(e1, e2)
+            self.assertNotEqual(verdict.state, INDETERMINATE)
+            assert_checked(self, verdict, e1, e2)
             expected = brute_force_expected(e1, e2)
-            if verdict.state == INDETERMINATE or expected is None:
+            if expected is None:
                 continue
             self.assertEqual(verdict.state, expected)
             checked += 1
         self.assertGreater(checked, 20)
-
-    def test_exhaustion_is_indeterminate(self):
-        # rotated anisotropic pair: one step is not enough to certify
-        rng = np.random.default_rng(3)
-        a1 = rng.standard_normal((2, 2))
-        a2 = rng.standard_normal((2, 2))
-        e1 = make_ellipsoid(rng.standard_normal(2), a1 @ a1.T / 2)
-        e2 = make_ellipsoid(rng.standard_normal(2) + 3.0, a2 @ a2.T / 2)
-        self.assertEqual(decide_disjoint(e1, e2, max_iter=1).state, INDETERMINATE)
-        self.assertNotEqual(
-            decide_disjoint(e1, e2, max_iter=50_000).state, INDETERMINATE
-        )
 
     def test_to_dict_round_trips_json(self):
         import json
@@ -249,6 +272,154 @@ class TestDecideDisjoint(unittest.TestCase):
         payload = json.loads(json.dumps(decide_disjoint(b1, b2).to_dict()))
         self.assertEqual(payload["state"], DISJOINT)
         self.assertEqual(len(payload["certificate"]), 2)
+
+
+
+def ball(center, radius):
+    return Ball(np.asarray(center, dtype=float), radius).to_ellipsoid()
+
+
+def segment(start, end):
+    start, end = np.asarray(start, dtype=float), np.asarray(end, dtype=float)
+    return make_ellipsoid((start + end) / 2.0, ((end - start) / 2.0)[:, None])
+
+
+class TestExactDecision(unittest.TestCase):
+    def decide(self, e1, e2):
+        verdict = decide_disjoint(e1, e2)
+        assert_checked(self, verdict, e1, e2)
+        return verdict
+
+    def test_point_inside_and_outside_a_ball(self):
+        body = ball([1.0, -2.0, 0.5], 2.0)
+        inside = make_ellipsoid([2.0, -1.0, 0.5], np.zeros((3, 0)))
+        outside = make_ellipsoid([4.0, -2.0, 0.5], np.zeros((3, 0)))
+        for e1, e2 in ((body, inside), (inside, body)):
+            self.assertEqual(self.decide(e1, e2).state, INTERSECTING)
+        for e1, e2 in ((body, outside), (outside, body)):
+            self.assertEqual(self.decide(e1, e2).state, DISJOINT)
+
+    def test_coincident_and_distinct_points(self):
+        p = make_ellipsoid([1.0, 2.0], np.zeros((2, 2)))
+        q = make_ellipsoid([1.0, 2.0 + 1e-12], np.zeros((2, 2)))
+        self.assertEqual(self.decide(p, p).state, INTERSECTING)
+        self.assertEqual(self.decide(p, q).state, DISJOINT)
+
+    def test_segments(self):
+        cases = {
+            "crossing": (segment([-1, -1], [1, 1]), segment([-1, 1], [1, -1]), INTERSECTING),
+            "parallel": (segment([0, 0], [2, 0]), segment([0, 1], [2, 1]), DISJOINT),
+            "collinear overlapping": (
+                segment([0, 0], [2, 0]), segment([1, 0], [3, 0]), INTERSECTING
+            ),
+            "collinear apart": (segment([0, 0], [1, 0]), segment([2, 0], [3, 0]), DISJOINT),
+        }
+        for name, (e1, e2, expected) in cases.items():
+            with self.subTest(name):
+                self.assertEqual(self.decide(e1, e2).state, expected)
+                self.assertEqual(self.decide(e2, e1).state, expected)
+
+    def test_flat_hyperplane_pair_at_full_dimension(self):
+        # both shapes annihilate the centre axis, so after a square projection
+        # the gap leaves the range of S1 + S2 and certifies on its own
+        from projsep.experiments import sample_wishart_shape
+
+        rng = np.random.default_rng(12)
+        n = 8
+        axis = np.eye(n)[0]
+        matrix = rng.standard_normal((n, n))
+        shapes = [sample_wishart_shape(n, rng, constrained_axis=axis) for _ in range(2)]
+        e1 = make_ellipsoid(matrix @ (0.5 * axis), matrix @ shapes[0])
+        e2 = make_ellipsoid(-(matrix @ (0.5 * axis)), matrix @ shapes[1])
+        self.assertLessEqual(dual_cone_margin(e2.center - e1.center, e1, e2), 0.0)
+        verdict = self.decide(e1, e2)
+        self.assertEqual(verdict.state, DISJOINT)
+        self.assertEqual(verdict.iterations, 0)
+        reach = np.linalg.norm(e1.shape.T @ verdict.certificate) + np.linalg.norm(
+            e2.shape.T @ verdict.certificate
+        )
+        self.assertLess(reach, 1e-9 * verdict.margin)
+
+    def test_thin_bodies_need_the_dual(self):
+        # the centre line does not separate these; a dual direction does
+        shape = np.diag([10.0, 0.1])
+        e1 = make_ellipsoid([0.0, 0.0], shape)
+        e2 = make_ellipsoid([1.0, 0.5], shape)
+        self.assertLessEqual(dual_cone_margin(e2.center - e1.center, e1, e2), 0.0)
+        verdict = self.decide(e1, e2)
+        self.assertEqual(verdict.state, DISJOINT)
+        self.assertGreater(verdict.iterations, 0)
+
+    def test_tiny_balls_at_unit_gap(self):
+        # unit balls with a gap of 1 between them, both scaled by 1e-8
+        verdict = self.decide(ball([0.0, 0.0], 1e-8), ball([3e-8, 0.0], 1e-8))
+        self.assertEqual(verdict.state, DISJOINT)
+        self.assertAlmostEqual(verdict.margin, 1e-8, delta=1e-20)
+
+
+@st.composite
+def body_pairs(draw):
+    n = draw(st.integers(1, 4))
+    entries = st.integers(-48, 48).map(lambda k: k / 16.0)
+
+    def body():
+        k = draw(st.integers(0, n + 1))
+        return make_ellipsoid(draw(arrays(float, n, elements=entries)),
+                              draw(arrays(float, (n, k), elements=entries)))
+
+    return body(), body(), draw(st.integers(0, 2**32 - 1))
+
+
+def moved(body, scale, rotation, shift):
+    center = scale * (rotation @ body.center + shift)
+    return make_ellipsoid(center, scale * (rotation @ body.shape))
+
+
+def pair_size(e1, e2):
+    return max(np.linalg.norm(a) for a in (e1.center, e2.center, e1.shape, e2.shape))
+
+
+def settled(verdict, e1, e2):
+    """True when moving the pair's entries by 1e-6 of its size keeps the verdict.
+
+    A Disjoint margin must exceed that; an Intersecting pair must keep a
+    ball of that radius around c2 - c1 inside E1' + E2', which contains
+    (1 - touching factor) times the ball of radius sigma_n([B1 B2]).
+    """
+    if verdict.state == DISJOINT:
+        return verdict.margin > 1e-6 * pair_size(e1, e2)
+    both = np.hstack((e1.shape, e2.shape))
+    svals = np.linalg.svd(both, compute_uv=False)
+    inradius = svals[e1.ambient_dim - 1] if svals.size >= e1.ambient_dim else 0.0
+    return (1.0 - verdict.norm) * inradius > 1e-6 * pair_size(e1, e2)
+
+
+class TestProperties(unittest.TestCase):
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(body_pairs(), st.integers(-8, 8))
+    def test_verdicts_are_invariant_and_checked(self, pair, exponent):
+        e1, e2, seed = pair
+        verdict = decide_disjoint(e1, e2)
+        self.assertNotEqual(verdict.state, INDETERMINATE)
+        assert_checked(self, verdict, e1, e2)
+        # the copies are rounded, which may rightly decide pairs that touch
+        # or lie flat against each other either way
+        assume(settled(verdict, e1, e2))
+        rng = np.random.default_rng(seed)
+        n = e1.ambient_dim
+        rotation = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        shift = pair_size(e1, e2) * rng.standard_normal(n)
+        copies = {
+            "swapped": (e2, e1),
+            "scaled": (moved(e1, 10.0**exponent, np.eye(n), 0.0),
+                       moved(e2, 10.0**exponent, np.eye(n), 0.0)),
+            "moved": (moved(e1, 10.0**exponent, rotation, shift),
+                      moved(e2, 10.0**exponent, rotation, shift)),
+        }
+        for name, (f1, f2) in copies.items():
+            other = decide_disjoint(f1, f2)
+            assert_checked(self, other, f1, f2)
+            self.assertEqual(other.state, verdict.state, name)
 
 
 class TestNullspaceAvoidsCone(unittest.TestCase):
