@@ -8,7 +8,7 @@ An ellipsoid is the affine image of a unit ball, ``{center + shape @ x :
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -46,7 +46,6 @@ class Ellipsoid:
 
     center: np.ndarray
     shape: np.ndarray
-    symmetric_psd: bool = field(init=False)
 
     def __post_init__(self) -> None:
         center = _as_float_array(self.center, "center", ndim=1)
@@ -58,11 +57,15 @@ class Ellipsoid:
             )
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "symmetric_psd", _is_symmetric_psd(shape))
 
     @property
     def ambient_dim(self) -> int:
         return self.center.shape[0]
+
+    @cached_property
+    def symmetric_psd(self) -> bool:
+        """Square, symmetric to 1e-10 and with eigenvalues >= -1e-10."""
+        return _is_symmetric_psd(self.shape)
 
 
 @dataclass(frozen=True)
@@ -155,8 +158,7 @@ def make_ellipsoid(center, shape) -> Ellipsoid:
     Returns
     -------
     Ellipsoid
-        With ``symmetric_psd`` computed (square, symmetric to 1e-10,
-        eigenvalues >= -1e-10).
+        ``symmetric_psd`` is computed on first read.
     """
     return Ellipsoid(np.asarray(center, dtype=float), np.asarray(shape, dtype=float))
 

@@ -1,9 +1,10 @@
 """Phase-transition experiment harnesses and their on-disk format.
 
 Grids sweep a geometry parameter (cone half-angle or center gap) against
-the projected dimension M, counting disjointness successes per cell. Every
-(cell, trial) derives its own RNG substream from the master seed, so cell
-counts do not depend on evaluation order.
+the projected dimension M, counting disjointness successes per cell. Each
+trial derives its own RNG substream from the master seed and draws one
+Gaussian matrix, whose first M rows project for every M, so a cell's count
+does not depend on evaluation order or on the rest of the grid.
 
 CSV schema: header ``param,M,trials,successes,indeterminate``, one row per
 cell, param formatted with six decimals. A sibling ``<name>.meta.json``
@@ -23,7 +24,7 @@ import numpy as np
 
 from ._rng import substream
 from .bodies import CircularCone, Ellipsoid, make_ellipsoid
-from .separation import DISJOINT, INDETERMINATE, decide_disjoint, nullspace_avoids_cone
+from .separation import DISJOINT, INDETERMINATE, decide_disjoint
 from .widths import width_bound_ellipsoids
 
 CSV_HEADER = ("param", "M", "trials", "successes", "indeterminate")
@@ -94,9 +95,12 @@ def _validate_axis2(ms) -> tuple[int, ...]:
 def run_cone_phase(n: int, alphas, ms, trials: int, seed: int) -> PhaseGrid:
     """Sweep circular-cone half-angles against projected dimensions.
 
-    Success in a trial means the null space of a fresh M-by-n Gaussian
-    matrix misses the cone of that half-angle; the test is exact, so the
-    indeterminate tally is always zero.
+    Each trial draws one ``ms[-1]``-by-n Gaussian matrix and projects by
+    its first M rows for every M. Success means that prefix's null space
+    misses the cone around the first axis: always when M = n, otherwise iff
+    the axis' null-space projection is shorter than ``cos(half_angle)``.
+    One QR of the transpose gives that length for every prefix. The test
+    is exact, so the indeterminate tally is always zero.
     """
     if n < 1:
         raise ValueError(f"ambient dimension must be >= 1, got {n}")
@@ -108,18 +112,16 @@ def run_cone_phase(n: int, alphas, ms, trials: int, seed: int) -> PhaseGrid:
         raise ValueError("projected dimensions must not exceed the ambient dimension")
     axis = np.zeros(n)
     axis[0] = 1.0
-    cones = [CircularCone(axis, a) for a in alphas]
-
-    def cell(i: int, j: int) -> int:
-        count = 0
-        for t in range(trials):
-            rng = substream(seed, CONE_KIND, i, j, t)
-            matrix = rng.standard_normal((ms[j], n))
-            count += bool(nullspace_avoids_cone(matrix, cones[i]))
-        return count
-
-    counts = [[cell(i, j) for j in range(len(ms))] for i in range(len(alphas))]
-    successes = np.array(counts, dtype=np.int64)
+    cosines = np.array([[math.cos(CircularCone(axis, a).half_angle)] for a in alphas])
+    dims = np.array(ms)
+    successes = np.zeros((len(alphas), len(ms)), dtype=np.int64)
+    for t in range(trials):
+        matrix = substream(seed, CONE_KIND, t).standard_normal((ms[-1], n))
+        q = np.linalg.qr(matrix.T)[0]
+        # ||P_null(axis)||^2 = 1 - ||P_row(axis)||^2 for each row prefix
+        row_sq = np.cumsum(q[0] ** 2)[dims - 1]
+        null_norm = np.sqrt(np.maximum(1.0 - row_sq, 0.0))
+        successes += (dims == n) | (cosines > null_norm)
     return PhaseGrid(
         axis1=alphas,
         axis2=ms,
@@ -182,9 +184,12 @@ def run_ellipsoid_phase(
     """Sweep center gaps against projected dimensions for Wishart ellipsoids.
 
     Each trial draws two Wishart shapes (annihilating the center axis in
-    the ``hyperplane`` variant), centers them at ``+/- zeta/2`` along the
-    first coordinate, projects by a fresh Gaussian matrix, and counts a
-    success when the solver certifies the projected bodies disjoint.
+    the ``hyperplane`` variant), then one ``ms[-1]``-by-n Gaussian matrix,
+    shared by every gap and M. The shapes are centered at ``+/- zeta/2``
+    along the first coordinate and projected by the matrix's first M rows.
+    Success is a step in M (a common point under M + 1 rows is one under
+    the first M), so a bisection over ``ms`` finds the least M certified
+    disjoint. An Indeterminate verdict is a failure, tallied where decided.
     Unprojected pairs are never prefiltered; their status and the mean
     squared width bound per gap are recorded in ``meta`` instead.
 
@@ -207,56 +212,49 @@ def run_ellipsoid_phase(
     axis = np.zeros(n)
     axis[0] = 1.0
     constrained = axis if variant == "hyperplane" else None
-
-    def cell(i: int, j: int) -> tuple[int, int, int, float, int]:
-        zeta = zetas[i]
-        c1 = 0.5 * zeta * axis
-        disjoint = 0
-        indeterminate = 0
-        preprojection = 0
-        bound_sq_sum = 0.0
-        bound_valid = 0
-        for t in range(trials):
-            rng = substream(seed, kind, i, j, t)
-            shape1 = sample_wishart_shape(n, rng, constrained_axis=constrained)
-            shape2 = sample_wishart_shape(n, rng, constrained_axis=constrained)
-            matrix = rng.standard_normal((ms[j], n))
+    successes = np.zeros((len(zetas), len(ms)), dtype=np.int64)
+    indet = np.zeros_like(successes)
+    preproj = [0] * len(zetas)
+    bound_sq = [[] for _ in zetas]
+    for t in range(trials):
+        rng = substream(seed, kind, t)
+        shape1 = sample_wishart_shape(n, rng, constrained_axis=constrained)
+        shape2 = sample_wishart_shape(n, rng, constrained_axis=constrained)
+        matrix = rng.standard_normal((ms[-1], n))
+        for i, zeta in enumerate(zetas):
+            c1 = 0.5 * zeta * axis
             body1 = make_ellipsoid(c1, shape1)
             body2 = make_ellipsoid(-c1, shape2)
             if zeta > 0.0:
                 bound = width_bound_ellipsoids(body1, body2)
                 if bound.valid:
-                    bound_sq_sum += bound.value**2
-                    bound_valid += 1
+                    bound_sq[i].append(bound.value**2)
             if variant == "hyperplane":
                 # parallel hyperplanes <z, axis> = +/- zeta/2 are disjoint
-                preprojection += zeta > 0.0
+                preproj[i] += zeta > 0.0
             else:
-                pre = decide_disjoint(body1, body2)
-                preprojection += pre.state == DISJOINT
-            verdict = decide_disjoint(
-                Ellipsoid(matrix @ c1, matrix @ shape1),
-                Ellipsoid(-(matrix @ c1), matrix @ shape2),
-            )
-            disjoint += verdict.state == DISJOINT
-            indeterminate += verdict.state == INDETERMINATE
-        return disjoint, indeterminate, preprojection, bound_sq_sum, bound_valid
-
-    table = [[cell(i, j) for j in range(len(ms))] for i in range(len(zetas))]
-    successes = np.array([[c[0] for c in row] for row in table], dtype=np.int64)
-    indet = np.array([[c[1] for c in row] for row in table], dtype=np.int64)
-    preproj = [[int(c[2]) for c in row] for row in table]
-    mean_sq_bound = []
-    for row in table:
-        total = sum(c[3] for c in row)
-        count = sum(c[4] for c in row)
-        mean_sq_bound.append(total / count if count else None)
+                preproj[i] += decide_disjoint(body1, body2).state == DISJOINT
+            # least index of ms whose prefix is certified disjoint (len(ms): none)
+            lo, hi = 0, len(ms)
+            while lo < hi:
+                mid = (lo + hi - 1) // 2
+                rows = matrix[: ms[mid]]
+                verdict = decide_disjoint(
+                    Ellipsoid(rows @ c1, rows @ shape1),
+                    Ellipsoid(-(rows @ c1), rows @ shape2),
+                )
+                if verdict.state == DISJOINT:
+                    hi = mid
+                else:
+                    lo = mid + 1
+                    indet[i, mid] += verdict.state == INDETERMINATE
+            successes[i, lo:] += 1
     meta = _base_meta(kind, n, seed, trials)
     meta.update(
         {
             "variant": variant,
             "preprojection_disjoint": preproj,
-            "mean_sq_bound": mean_sq_bound,
+            "mean_sq_bound": [sum(b) / len(b) if b else None for b in bound_sq],
         }
     )
     return PhaseGrid(
@@ -314,7 +312,9 @@ def estimate_transition(grid: PhaseGrid, level: float = 0.5) -> list[TransitionE
     """Per-parameter success-level crossings with a 5%-95% band.
 
     Rows are smoothed to be non-decreasing in M (isotonic fit) before
-    interpolating crossings linearly between grid points.
+    interpolating crossings linearly between grid points. The sweeps' rows
+    are non-decreasing by construction, so the fit only changes rows read
+    from CSVs written before the sweeps shared one matrix per trial.
     """
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must lie in (0, 1), got {level!r}")

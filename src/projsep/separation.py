@@ -128,7 +128,10 @@ def min_norm_point(
         Bodies in a common ambient dimension.
     tol : float
         Stop once the duality gap ``<z, z - d>`` at the linear minimizer
-        d falls to this level.
+        d falls to this fraction of the pair's squared size ``(||c1 - c2||
+        + ||B1||_F + ||B2||_F)^2``, so that scaling both bodies together
+        scales the result and keeps the iteration count, and translating
+        them changes neither.
     max_iter : int, optional
         Defaults to 50 times the ambient dimension.
 
@@ -147,6 +150,7 @@ def min_norm_point(
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     c_gap = e1.center - e2.center
     b1, b2 = e1.shape, e2.shape
+    size = sum(float(np.linalg.norm(a)) for a in (c_gap, b1, b2))
     z = c_gap.copy()
     x = np.zeros(b1.shape[1])
     y = np.zeros(b2.shape[1])
@@ -161,7 +165,7 @@ def min_norm_point(
         gap = float(z @ (z - d))
         v = d - z
         vv = float(v @ v)
-        if gap <= tol or vv == 0.0:
+        if gap <= tol * size**2 or vv == 0.0:
             break
         gamma = min(gap / vv, 1.0)
         z = z + gamma * v
@@ -325,8 +329,10 @@ def nullspace_avoids_cone(projection, cone: CircularCone) -> NullspaceCheck:
 
     The null space meets the cone iff the axis' projection onto the null
     space has norm at least ``cos(half_angle)``, so the test reduces to
-    one projection norm. A trivial null space (full-rank square map)
-    avoids every cone.
+    one projection norm, taken from a rank-revealing SVD that also handles
+    rank-deficient maps. A trivial null space avoids every cone. The cone
+    sweep reads the same norm for every row prefix from one QR instead;
+    this function is the reference it is tested against.
     """
     matrix = (
         projection.entries
@@ -341,39 +347,18 @@ def nullspace_avoids_cone(projection, cone: CircularCone) -> NullspaceCheck:
             f"projection columns {n} do not match cone dimension {cone.ambient_dim}"
         )
     rank, null_norm_sq = _null_projection_sq(matrix, cone.axis)
-    if rank == n:
-        return NullspaceCheck(
-            avoids=True,
-            gap=math.cos(cone.half_angle),
-            rank=rank,
-            rank_deficient=rank < m,
-        )
-    null_norm = math.sqrt(max(null_norm_sq, 0.0))
-    gap = math.cos(cone.half_angle) - null_norm
+    gap = math.cos(cone.half_angle) - math.sqrt(null_norm_sq)
     return NullspaceCheck(
-        avoids=gap > 0.0, gap=gap, rank=rank, rank_deficient=rank < m
+        avoids=rank == n or gap > 0.0, gap=gap, rank=rank, rank_deficient=rank < m
     )
 
 
 def _null_projection_sq(matrix: np.ndarray, axis: np.ndarray) -> tuple[int, float]:
-    """Rank of the matrix and ``||P_null(axis)||^2``, via the row space.
+    """Rank of the matrix and ``||P_null(axis)||^2``, by a rank-revealing SVD.
 
-    Fast path assumes full row rank (Gram Cholesky); any numerical doubt
-    falls back to a rank-revealing SVD.
+    Singular values up to ``max(shape) * eps`` times the largest count as
+    zero, so a rank-deficient map has the larger null space it should.
     """
-    # imported here: scipy.linalg adds about 6 MB and 60 ms to every import
-    # of the package, and nothing else needs it
-    from scipy.linalg import LinAlgError, cho_factor, cho_solve
-
-    m = matrix.shape[0]
-    p_axis = matrix @ axis
-    try:
-        factor = cho_factor(matrix @ matrix.T)
-        row_sq = float(p_axis @ cho_solve(factor, p_axis))
-        if row_sq <= 1.0 + 1e-8:
-            return m, max(1.0 - min(row_sq, 1.0), 0.0)
-    except LinAlgError:
-        pass
     svals, vt = np.linalg.svd(matrix, full_matrices=True)[1:]
     scale = float(svals[0]) if svals.size else 0.0
     rank = int(np.sum(svals > scale * max(matrix.shape) * np.finfo(float).eps))

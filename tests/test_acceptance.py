@@ -239,9 +239,9 @@ class TestAcceptance(unittest.TestCase):
         # moves by at most 0.2%), so the mean stands for each pair. Every
         # gap is checked, also where the curve exceeds n. A rank never reached
         # counts as n + 1. Measured at seed 2024 (curve, 50% rank, 95% rank,
-        # escape dimension): gap 100 53.69, 15.89, 22.60, 97; gap 200 14.93,
-        # 8.31, 12.25, 41; gap 300 7.33, 5.12, 9.50, 28; gap 400 4.55, 2.71,
-        # 6.93, 22. The curve tracks the 50% transition and is not a 95%
+        # escape dimension): gap 100 53.70, 16.00, 22.25, 97; gap 200 14.93,
+        # 7.71, 12.25, 41; gap 300 7.34, 5.10, 9.58, 28; gap 400 4.54, 3.17,
+        # 8.17, 22. The curve tracks the 50% transition and is not a 95%
         # envelope at the two largest gaps; the report line shows where.
         n = 40
         zetas = (100.0, 200.0, 300.0, 400.0)

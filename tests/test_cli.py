@@ -1,10 +1,14 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import unittest
 from pathlib import Path
 
+import projsep
 from projsep import __version__
 from projsep.cli import SCHEMA_VERSION, dispatch
 
@@ -371,6 +375,20 @@ class TestConfigFile(unittest.TestCase):
         )
         self.assertEqual(code, 1)
         self.assertIn("error: config-key-max-iter-is-not-a-flag-of-this-subcommand", err)
+
+
+class TestModuleEntryPoint(unittest.TestCase):
+    def test_python_m_prints_usage(self):
+        src = str(Path(projsep.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "projsep.cli", "--help"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        self.assertEqual(done.returncode, 0, done.stderr)
+        self.assertIn("usage: projsep", done.stdout)
+        self.assertIn("cone-phase", done.stdout)
 
 
 class TestRemovedSolverFlags(unittest.TestCase):

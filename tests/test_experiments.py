@@ -4,7 +4,12 @@ from pathlib import Path
 
 import numpy as np
 
+from projsep._rng import substream
+from projsep.bodies import CircularCone, Ellipsoid, make_ellipsoid
 from projsep.experiments import (
+    CONE_KIND,
+    ELLIPSOID_GENERAL_KIND,
+    ELLIPSOID_HYPERPLANE_KIND,
     PhaseGrid,
     estimate_transition,
     load_phase_grid,
@@ -14,6 +19,54 @@ from projsep.experiments import (
     sample_wishart_shape,
     save_phase_grid,
 )
+from projsep.separation import DISJOINT, INDETERMINATE, decide_disjoint, nullspace_avoids_cone
+
+
+SEEDS = (0, 1, 2)
+
+
+def cone_reference(n, alphas, ms, trials, seed):
+    """Cone-sweep cells counted with ``nullspace_avoids_cone`` on each prefix."""
+    axis = np.eye(n)[0]
+    counts = np.zeros((len(alphas), len(ms)), dtype=np.int64)
+    for t in range(trials):
+        matrix = substream(seed, CONE_KIND, t).standard_normal((ms[-1], n))
+        for i, alpha in enumerate(alphas):
+            for j, m in enumerate(ms):
+                check = nullspace_avoids_cone(matrix[:m], CircularCone(axis, alpha))
+                counts[i, j] += bool(check)
+    return counts
+
+
+def ellipsoid_reference(n, zetas, ms, trials, seed, variant):
+    """Ellipsoid-sweep cells by a linear scan of ``decide_disjoint`` over every M.
+
+    Returns the Disjoint counts, the Indeterminate counts and the
+    unprojected Disjoint count per gap.
+    """
+    kind = ELLIPSOID_GENERAL_KIND if variant == "general" else ELLIPSOID_HYPERPLANE_KIND
+    axis = np.eye(n)[0]
+    constrained = axis if variant == "hyperplane" else None
+    disjoint = np.zeros((len(zetas), len(ms)), dtype=np.int64)
+    indeterminate = np.zeros_like(disjoint)
+    preprojection = [0] * len(zetas)
+    for t in range(trials):
+        rng = substream(seed, kind, t)
+        shape1 = sample_wishart_shape(n, rng, constrained_axis=constrained)
+        shape2 = sample_wishart_shape(n, rng, constrained_axis=constrained)
+        matrix = rng.standard_normal((ms[-1], n))
+        for i, zeta in enumerate(zetas):
+            c1 = 0.5 * zeta * axis
+            pre = decide_disjoint(make_ellipsoid(c1, shape1), make_ellipsoid(-c1, shape2))
+            preprojection[i] += pre.state == DISJOINT
+            for j, m in enumerate(ms):
+                rows = matrix[:m]
+                verdict = decide_disjoint(
+                    Ellipsoid(rows @ c1, rows @ shape1), Ellipsoid(-(rows @ c1), rows @ shape2)
+                )
+                disjoint[i, j] += verdict.state == DISJOINT
+                indeterminate[i, j] += verdict.state == INDETERMINATE
+    return disjoint, indeterminate, preprojection
 
 
 def grid_from_ratios(ms, ratios, trials=100):
@@ -48,6 +101,23 @@ class TestRunConePhase(unittest.TestCase):
         a = run_cone_phase(10, [0.3, 0.8], [2, 5, 8], trials=10, seed=7)
         b = run_cone_phase(10, [0.3, 0.8], [2, 5, 8], trials=10, seed=7)
         np.testing.assert_array_equal(a.successes, b.successes)
+
+    def test_cells_count_the_reference_test_on_row_prefixes(self):
+        n, alphas = 8, (0.3, 0.8, 1.2, np.pi / 2)
+        for seed in SEEDS:
+            for ms in (tuple(range(1, n + 1)), (2, 3, 5)):
+                grid = run_cone_phase(n, alphas, ms, trials=6, seed=seed)
+                reference = cone_reference(n, alphas, ms, 6, seed)
+                np.testing.assert_array_equal(grid.successes, reference, f"seed {seed}, ms {ms}")
+
+    def test_shared_cells_do_not_depend_on_the_grid(self):
+        n, alphas = 9, (0.4, 0.9, 1.3)
+        for seed in SEEDS:
+            full = run_cone_phase(n, alphas, range(1, n + 1), trials=8, seed=seed)
+            for ms in ((2, 5, n), (2, 5)):
+                part = run_cone_phase(n, alphas, ms, trials=8, seed=seed)
+                shared = full.successes[:, [m - 1 for m in ms]]
+                np.testing.assert_array_equal(part.successes, shared, f"seed {seed}, ms {ms}")
 
     def test_ms_must_increase(self):
         with self.assertRaises(ValueError):
@@ -94,7 +164,7 @@ class TestRunEllipsoidPhase(unittest.TestCase):
     def test_full_rank_projection_preserves_disjointness(self):
         grid = run_ellipsoid_phase(6, [80.0], [6], trials=10, seed=11)
         self.assertGreaterEqual(grid.success_ratio[0, 0], 0.95)
-        self.assertEqual(grid.meta["preprojection_disjoint"][0][0], 10)
+        self.assertEqual(grid.meta["preprojection_disjoint"][0], 10)
 
     def test_zero_gap_never_succeeds(self):
         grid = run_ellipsoid_phase(5, [0.0], [5], trials=8, seed=12)
@@ -106,13 +176,42 @@ class TestRunEllipsoidPhase(unittest.TestCase):
             6, [8.0], [3], trials=5, seed=13, variant="hyperplane"
         )
         self.assertEqual(grid.meta["variant"], "hyperplane")
-        self.assertEqual(grid.meta["preprojection_disjoint"][0][0], 5)
+        self.assertEqual(grid.meta["preprojection_disjoint"][0], 5)
 
     def test_deterministic(self):
         a = run_ellipsoid_phase(5, [6.0, 20.0], [2, 4], trials=4, seed=14)
         b = run_ellipsoid_phase(5, [6.0, 20.0], [2, 4], trials=4, seed=14)
         np.testing.assert_array_equal(a.successes, b.successes)
         np.testing.assert_array_equal(a.indeterminate, b.indeterminate)
+
+    def test_cells_match_a_linear_scan_over_every_m(self):
+        # success is a step in M, so bisection finds what a scan of every M finds
+        n, zetas, ms = 6, (0.0, 4.0, 10.0, 25.0), tuple(range(1, 7))
+        for variant in ("general", "hyperplane"):
+            for seed in SEEDS:
+                label = f"{variant}, seed {seed}"
+                grid = run_ellipsoid_phase(n, zetas, ms, trials=5, seed=seed, variant=variant)
+                disjoint, indeterminate, pre = ellipsoid_reference(
+                    n, zetas, ms, 5, seed, variant
+                )
+                np.testing.assert_array_equal(grid.successes, disjoint, label)
+                self.assertEqual(int(indeterminate.sum()), 0, label)
+                self.assertEqual(int(grid.indeterminate.sum()), 0, label)
+                if variant == "general":
+                    self.assertEqual(grid.meta["preprojection_disjoint"], pre, label)
+
+    def test_shared_cells_do_not_depend_on_the_grid(self):
+        n, zetas = 7, (5.0, 12.0, 30.0)
+        for variant in ("general", "hyperplane"):
+            for seed in SEEDS:
+                full = run_ellipsoid_phase(n, zetas, range(1, n + 1), 6, seed, variant=variant)
+                for ms in ((2, 5, n), (2, 5)):
+                    part = run_ellipsoid_phase(n, zetas, ms, 6, seed, variant=variant)
+                    np.testing.assert_array_equal(
+                        part.successes,
+                        full.successes[:, [m - 1 for m in ms]],
+                        f"{variant}, seed {seed}, ms {ms}",
+                    )
 
     def test_variant_validated(self):
         with self.assertRaises(ValueError):

@@ -121,6 +121,34 @@ class TestMinNormPoint(unittest.TestCase):
         result = min_norm_point(b1, b2, tol=1e-12)
         self.assertLessEqual(result.norm**2 - 3.0**2, result.dual_gap + 1e-9)
 
+    def test_small_bodies_are_solved_to_their_own_scale(self):
+        # radius-1e-8 balls 1.04e-8 apart: an absolute gap of 1e-7 would
+        # stop at the centre distance 3.04e-8
+        b1 = Ball(np.zeros(3), 1e-8)
+        b2 = Ball(np.array([3.0, 0.5, 0.0]) * 1e-8, 1e-8)
+        result = min_norm_point(b1, b2)
+        self.assertAlmostEqual(result.norm / 1e-8, np.hypot(3.0, 0.5) - 2.0, places=6)
+
+    def test_scaling_scales_the_norm_and_keeps_the_iterations(self):
+        rng = np.random.default_rng(3)
+        for _ in range(5):
+            c1, c2 = rng.standard_normal(4), 4.0 * rng.standard_normal(4)
+            b1, b2 = rng.standard_normal((4, 4)), rng.standard_normal((4, 4))
+            results = {
+                scale: min_norm_point(
+                    make_ellipsoid(scale * c1, scale * b1),
+                    make_ellipsoid(scale * c2, scale * b2),
+                )
+                for scale in (1e-8, 1.0, 1e8)
+            }
+            reference = results[1.0]
+            self.assertGreater(reference.iterations, 2)
+            for scale, result in results.items():
+                self.assertEqual(result.iterations, reference.iterations, scale)
+                self.assertAlmostEqual(
+                    result.norm / scale, reference.norm, delta=1e-9 * reference.norm
+                )
+
     def test_out_of_iterations_returns_the_iterate_after_the_last_step(self):
         # the run capped at k + 1 iterations reports the gap of the iterate
         # after k steps, which the run capped at k must return
