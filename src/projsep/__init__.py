@@ -15,17 +15,12 @@ from .bodies import (
     Ellipsoid,
     GaussianProjection,
     difference_cone,
-    fit_enclosing_ellipsoid,
-    inscribed_ball,
     make_ellipsoid,
     project_body,
     support,
 )
 from .escape import (
-    AkfBounds,
     MultiClassPlan,
-    akf_bounds,
-    escape_probability_lower,
     plan_multiclass,
     required_dim_gordon,
     required_dim_two_balls,
@@ -52,7 +47,6 @@ from .separation import (
 from .widths import (
     PairGeometry,
     WidthBound,
-    alpha_star,
     circular_width_sq,
     lambda_m,
     mc_expected_map_norm,
@@ -67,15 +61,10 @@ __all__ = [
     "Ellipsoid",
     "GaussianProjection",
     "difference_cone",
-    "fit_enclosing_ellipsoid",
-    "inscribed_ball",
     "make_ellipsoid",
     "project_body",
     "support",
-    "AkfBounds",
     "MultiClassPlan",
-    "akf_bounds",
-    "escape_probability_lower",
     "plan_multiclass",
     "required_dim_gordon",
     "required_dim_two_balls",
@@ -96,7 +85,6 @@ __all__ = [
     "nullspace_avoids_cone",
     "PairGeometry",
     "WidthBound",
-    "alpha_star",
     "circular_width_sq",
     "lambda_m",
     "mc_expected_map_norm",

@@ -119,9 +119,9 @@ class CircularCone:
 class GaussianProjection:
     """Random map with iid standard normal entries, row-major from one stream.
 
-    Only ``(rows, cols, seed)`` is stored or serialized; the matrix is
-    regenerated on demand, so two instances with equal fields are
-    entry-for-entry identical.
+    Only ``(rows, cols, seed)`` is stored; the matrix is regenerated on
+    first read, so two instances with equal fields are entry-for-entry
+    identical.
     """
 
     rows: int
@@ -217,21 +217,6 @@ def project_body(projection, body: Ellipsoid | Ball) -> Ellipsoid:
     return Ellipsoid(matrix @ body.center, matrix @ body.shape)
 
 
-def inscribed_ball(body: Ellipsoid) -> Ball:
-    """Largest centered ball inside a symmetric-PSD ellipsoid.
-
-    The radius is the smallest eigenvalue of the shape matrix (clamped at
-    zero for a singular shape). Raises for non symmetric-PSD shapes, where
-    the centered inradius is not an eigenvalue.
-    """
-    if not body.symmetric_psd:
-        raise ValueError("inscribed_ball requires a symmetric PSD shape matrix")
-    if body.shape.shape[0] == 0:
-        return Ball(body.center, 0.0)
-    radius = float(np.linalg.eigvalsh(body.shape)[0])
-    return Ball(body.center, max(radius, 0.0))
-
-
 def difference_cone(ball1: Ball, ball2: Ball) -> CircularCone:
     """Circular cone generated by differences of points of two separated balls.
 
@@ -249,34 +234,6 @@ def difference_cone(ball1: Ball, ball2: Ball) -> CircularCone:
             f"||c1 - c2|| = {dist}"
         )
     return CircularCone(gap / dist, math.asin(spread / dist))
-
-
-def fit_enclosing_ellipsoid(samples, radius_scale: float | None = None) -> Ellipsoid:
-    """Moment-based ellipsoid around a point cloud.
-
-    Centers at the sample mean and shapes by ``radius_scale`` times the PSD
-    square root of the second-moment matrix ``(1/p) sum (x - mean)(x - mean)^T``.
-    The default ``radius_scale = sqrt(n)`` matches an isotropic cloud's
-    extent; no coverage guarantee is made for heavy-tailed data. A
-    rank-deficient cloud yields a flat ellipsoid.
-    """
-    data = np.asarray(samples, dtype=float)
-    if data.ndim != 2:
-        raise ValueError("samples must be a 2-D array (points by coordinates)")
-    p, n = data.shape
-    if p < 2:
-        raise ValueError(f"need at least 2 samples, got {p}")
-    if not np.all(np.isfinite(data)):
-        raise ValueError("samples contain non-finite entries")
-    if radius_scale is None:
-        radius_scale = math.sqrt(n)
-    mean = data.mean(axis=0)
-    centered = data - mean
-    second_moment = (centered.T @ centered) / p
-    eigvals, eigvecs = np.linalg.eigh(second_moment)
-    root = (eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))) @ eigvecs.T
-    shape = radius_scale * 0.5 * (root + root.T)
-    return Ellipsoid(mean, shape)
 
 
 def contains(body: Ellipsoid | Ball, point, tol: float = MEMBERSHIP_TOL) -> bool:
@@ -301,7 +258,15 @@ def contains(body: Ellipsoid | Ball, point, tol: float = MEMBERSHIP_TOL) -> bool
     return float(np.linalg.norm(x)) <= 1.0 + tol
 
 
-def ellipsoid_from_dict(data: dict) -> Ellipsoid:
-    if "radius" in data:
-        return Ball(np.asarray(data["center"], dtype=float), float(data["radius"])).to_ellipsoid()
-    return make_ellipsoid(data["center"], data["shape"])
+def ellipsoid_from_dict(data) -> Ellipsoid:
+    """Ellipsoid from ``{"center": [...], "shape": [[...]]}``, or a ball's from
+    ``{"center": [...], "radius": r}``; any other input raises ValueError."""
+    try:
+        center = np.asarray(data["center"], dtype=float)
+        radius = float(data["radius"]) if "radius" in data else None
+        shape = np.asarray(data["shape"], dtype=float) if radius is None else None
+    except (TypeError, KeyError, OverflowError):
+        raise ValueError("ellipsoid needs a numeric center and a radius or shape") from None
+    if radius is not None:
+        return Ball(center, radius).to_ellipsoid()
+    return make_ellipsoid(center, shape)

@@ -92,14 +92,12 @@ def dataset_from_arrays(features, labels, class_names=None) -> Dataset:
     return Dataset(np.asarray(features, dtype=float), remapped, tuple(class_names))
 
 
-def load_dataset(path, fmt: str = "csv") -> Dataset:
+def load_dataset(path) -> Dataset:
     """Read ``label,f0,...`` CSV; labels are remapped to 0..K-1 sorted.
 
     Malformed input (ragged rows, non-numeric cells) raises with the
     offending line number.
     """
-    if fmt != "csv":
-        raise ValueError(f"unknown dataset format {fmt!r}")
     path = Path(path)
     with path.open(newline="") as handle:
         reader = csv.reader(handle)
@@ -130,10 +128,8 @@ def load_dataset(path, fmt: str = "csv") -> Dataset:
     return dataset_from_arrays(np.array(rows), np.array(raw_labels))
 
 
-def save_dataset(data: Dataset, path, fmt: str = "csv") -> None:
+def save_dataset(data: Dataset, path) -> None:
     """Write the dataset CSV; floats use repr so a reload is bit-exact."""
-    if fmt != "csv":
-        raise ValueError(f"unknown dataset format {fmt!r}")
     names = data.class_names or tuple(str(i) for i in range(data.n_classes))
     path = Path(path)
     with path.open("w", newline="") as handle:

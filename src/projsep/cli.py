@@ -21,8 +21,8 @@ import numpy as np
 
 from . import __version__
 from ._rng import fresh_seed
-from .bodies import ellipsoid_from_dict
-from .classify import load_dataset, run_pipeline, save_dataset, save_report
+from .bodies import CircularCone, ellipsoid_from_dict
+from .classify import dataset_from_arrays, load_dataset, run_pipeline, save_dataset, save_report
 from .escape import plan_multiclass, required_dim_gordon
 from .experiments import (
     run_cone_phase,
@@ -32,7 +32,6 @@ from .experiments import (
 from .pca import toy_cross_polytope_balls, toy_two_balls
 from .separation import decide_disjoint
 from .widths import mc_width_circular, mc_width_pseudoprojection, width_bound_ellipsoids
-from .bodies import CircularCone
 
 SCHEMA_VERSION = 1
 
@@ -77,10 +76,18 @@ def _load_json(path: str) -> dict:
 
 def _load_pair(path: str):
     data = _load_json(path)
-    try:
-        return ellipsoid_from_dict(data["e1"]), ellipsoid_from_dict(data["e2"])
-    except KeyError as exc:
-        raise ValueError(f"pair file must contain keys e1 and e2, missing {exc}") from None
+    if not (isinstance(data, dict) and "e1" in data and "e2" in data):
+        raise ValueError("pair file must hold an object with keys e1 and e2")
+    return ellipsoid_from_dict(data["e1"]), ellipsoid_from_dict(data["e2"])
+
+
+def _first_axis(n: int, value: float = 1.0) -> np.ndarray:
+    """``value`` times the first standard basis vector of R^n."""
+    if n < 1:
+        raise ValueError(f"--n must be at least 1, got {n}")
+    axis = np.zeros(n)
+    axis[0] = value
+    return axis
 
 
 def _emit(payload: dict, out: str | None) -> None:
@@ -167,7 +174,9 @@ def _cmd_ellipsoid_phase(args: argparse.Namespace) -> int:
 
 def _cmd_plan(args: argparse.Namespace) -> int:
     data = _load_json(args.classes)
-    entries = data["classes"] if isinstance(data, dict) else data
+    entries = data.get("classes") if isinstance(data, dict) else data
+    if not isinstance(entries, list):
+        raise ValueError("classes file must hold a list of ellipsoids")
     ellipsoids = [ellipsoid_from_dict(entry) for entry in entries]
     _echo_config(args, {"classes": args.classes, "p": args.p, "out": args.out})
     plan = plan_multiclass(ellipsoids, args.p)
@@ -190,9 +199,8 @@ def _cmd_width_mc(args: argparse.Namespace) -> int:
             args,
             {"alpha": args.alpha, "n": args.n, "trials": args.trials, "seed": seed, "out": args.out},
         )
-        axis = np.zeros(args.n)
-        axis[0] = 1.0
-        bound = mc_width_circular(CircularCone(axis, args.alpha), args.trials, seed)
+        cone = CircularCone(_first_axis(args.n), args.alpha)
+        bound = mc_width_circular(cone, args.trials, seed)
     else:
         if not args.pair:
             print("error: provide --pair or --alpha with --n", file=sys.stderr)
@@ -224,13 +232,10 @@ def _cmd_pca_toy(args: argparse.Namespace) -> int:
         },
     )
     if args.kind == "two-balls":
-        center = np.zeros(args.n)
-        center[0] = args.center_norm
+        center = _first_axis(args.n, args.center_norm)
         points = toy_two_balls(args.n, center, args.radius, args.samples, seed)
     else:
         points = toy_cross_polytope_balls(args.n, args.radius, args.samples, seed)
-    from .classify import dataset_from_arrays
-
     save_dataset(dataset_from_arrays(points.features, points.labels), args.out)
     return 0
 

@@ -1,8 +1,10 @@
-"""Escape-through-the-mesh probability bounds and dimension planners.
+"""Projection-dimension planners from Gordon's escape through the mesh.
 
 Given a width (or width bound) w for the sphere patch of a difference
 cone, these functions say how many Gaussian projection rows keep the
-random null space clear of the cone, hence keep projected bodies disjoint.
+random null space clear of the cone with probability at least 1 - eta,
+hence keep projected bodies disjoint: one pair (``required_dim_gordon``),
+two balls (``required_dim_two_balls``) or many classes (``plan_multiclass``).
 """
 
 from __future__ import annotations
@@ -10,25 +12,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import NamedTuple
 
 from .bodies import Ball, Ellipsoid, difference_cone
-from .widths import WidthBound, circular_width_sq, lambda_m, width_bound_ellipsoids
-
-
-def escape_probability_lower(m: int, width: float) -> float:
-    """Lower bound on the chance an m-row Gaussian null space misses the patch.
-
-    ``1 - exp(-(lambda_m(m) - width)^2 / 2)`` when the width is below the
-    expected norm ``lambda_m(m)``, else the vacuous bound 0.
-    """
-    width = float(width)
-    if math.isnan(width) or width < 0.0:
-        raise ValueError(f"width must be a nonnegative number, got {width!r}")
-    lam = lambda_m(m)
-    if width >= lam:
-        return 0.0
-    return 1.0 - math.exp(-0.5 * (lam - width) ** 2)
+from .widths import WidthBound, circular_width_sq, width_bound_ellipsoids
 
 
 def required_dim_gordon(width: float, eta: float) -> int:
@@ -44,34 +30,6 @@ def required_dim_gordon(width: float, eta: float) -> int:
         raise ValueError(f"eta must lie in (0, 1), got {eta!r}")
     threshold = (width + math.sqrt(2.0 * math.log(1.0 / eta))) ** 2 + 1.0
     return int(math.floor(threshold)) + 1
-
-
-class AkfBounds(NamedTuple):
-    """Two-sided phase-transition bounds on the projected dimension."""
-
-    m_success: int
-    m_failure: int
-
-
-def akf_bounds(width: float, n: int, eta: float) -> AkfBounds:
-    """Success/failure dimensions from the conic phase-transition bounds.
-
-    Disjointness holds with probability >= 1 - eta at ``m_success =
-    ceil(w^2 + sqrt(16 n ln(4/eta)) + 1)`` and fails with probability
-    >= 1 - eta at ``m_failure = floor(w^2 - sqrt(16 n ln(4/eta)))``
-    (clamped at 0 when vacuous).
-    """
-    width = float(width)
-    if math.isnan(width) or width < 0.0:
-        raise ValueError(f"width must be a nonnegative number, got {width!r}")
-    if n < 1:
-        raise ValueError(f"dimension must be >= 1, got {n}")
-    if not 0.0 < eta < 4.0:
-        raise ValueError(f"eta must lie in (0, 4), got {eta!r}")
-    margin = math.sqrt(16.0 * n * math.log(4.0 / eta))
-    m_success = int(math.ceil(width**2 + margin + 1.0))
-    m_failure = max(int(math.floor(width**2 - margin)), 0)
-    return AkfBounds(m_success=m_success, m_failure=m_failure)
 
 
 def required_dim_two_balls(n: int, ball1: Ball, ball2: Ball, eta: float) -> int:

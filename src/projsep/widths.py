@@ -22,7 +22,6 @@ ELLIPSOID_THEOREM = "EllipsoidTheorem"
 MONTE_CARLO = "MonteCarlo"
 
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
-ORTHOGONALITY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -147,25 +146,6 @@ def width_bound_ellipsoids(e1: Ellipsoid, e2: Ellipsoid) -> WidthBound:
     return WidthBound(value=value, kind=ELLIPSOID_THEOREM)
 
 
-def alpha_star(geom: PairGeometry, g2) -> float:
-    """Axis coefficient above which ``a * axis + g2`` enters the dual cone.
-
-    ``g2`` must be orthogonal to the pair axis (within 1e-9); the value is
-    ``(||A1 g2|| + ||A2 g2||) / (zeta - ||A1 e|| - ||A2 e||)``.
-    """
-    if geom.denominator <= 0.0:
-        raise ValueError("pair does not satisfy the width-bound hypothesis")
-    g2 = np.asarray(g2, dtype=float)
-    if g2.shape != geom.axis.shape:
-        raise ValueError("g2 dimension does not match the pair axis")
-    if abs(float(g2 @ geom.axis)) > ORTHOGONALITY_TOL * max(1.0, float(np.linalg.norm(g2))):
-        raise ValueError("g2 must be orthogonal to the pair axis")
-    numerator = float(np.linalg.norm(geom.shape1 @ g2)) + float(
-        np.linalg.norm(geom.shape2 @ g2)
-    )
-    return numerator / geom.denominator
-
-
 def _positive_part_expectation_vec(a: np.ndarray) -> np.ndarray:
     """``E (a - g)_+`` for a standard normal g: ``a * Phi(a) + phi(a)``."""
     return a * ndtr(a) + INV_SQRT_2PI * np.exp(-0.5 * a * a)
@@ -186,7 +166,8 @@ def mc_width_pseudoprojection(
     """Monte Carlo width bound via the axis-orthogonal Gaussian split.
 
     Each trial draws a standard normal, removes its component along the
-    pair axis, and evaluates ``E (alpha_star - g)_+``;
+    pair axis to get ``g2``, and evaluates ``E (a - g)_+`` at
+    ``a = (||A1 g2|| + ||A2 g2||) / (zeta - ||A1 e|| - ||A2 e||)``;
     the sample mean upper-bounds the difference-cone width in expectation.
     Deterministic given the seed.
     """

@@ -10,8 +10,6 @@ from projsep.bodies import (
     contains,
     difference_cone,
     ellipsoid_from_dict,
-    fit_enclosing_ellipsoid,
-    inscribed_ball,
     make_ellipsoid,
     project_body,
     support,
@@ -151,35 +149,6 @@ class TestProjectBody(unittest.TestCase):
             project_body(np.eye(3), Ball(np.zeros(2), 1.0))
 
 
-class TestInscribedBall(unittest.TestCase):
-    def test_diagonal(self):
-        ball = inscribed_ball(make_ellipsoid([0.0, 0.0], np.diag([3.0, 1.0])))
-        self.assertEqual(ball.radius, 1.0)
-
-    def test_scaled_identity(self):
-        ball = inscribed_ball(make_ellipsoid([1.0, 1.0, 1.0], 2.5 * np.eye(3)))
-        self.assertEqual(ball.radius, 2.5)
-
-    def test_singular_shape(self):
-        ball = inscribed_ball(make_ellipsoid([0.0, 0.0], np.diag([1.0, 0.0])))
-        self.assertEqual(ball.radius, 0.0)
-
-    def test_rejects_non_psd(self):
-        with self.assertRaises(ValueError):
-            inscribed_ball(make_ellipsoid([0.0, 0.0], [[0.0, 1.0], [0.0, 0.0]]))
-
-    def test_containment(self):
-        rng = np.random.default_rng(42)
-        basis, _ = np.linalg.qr(rng.standard_normal((3, 3)))
-        shape = basis @ np.diag([2.0, 1.5, 0.7]) @ basis.T
-        body = make_ellipsoid(rng.standard_normal(3), shape)
-        ball = inscribed_ball(body)
-        points = rng.standard_normal((1000, 3))
-        points /= np.linalg.norm(points, axis=1, keepdims=True)
-        for p in ball.center + ball.radius * points:
-            self.assertTrue(contains(body, p, tol=1e-9))
-
-
 class TestDifferenceCone(unittest.TestCase):
     def test_lemma_angle(self):
         b1 = Ball(np.array([0.0, 0.0, 0.0]), 1.0)
@@ -208,52 +177,6 @@ class TestDifferenceCone(unittest.TestCase):
         moved = difference_cone(Ball(q @ c1 + t, 0.8), Ball(q @ c2 + t, 0.6))
         self.assertAlmostEqual(moved.half_angle, base.half_angle, places=12)
         np.testing.assert_allclose(moved.axis, q @ base.axis, atol=1e-12)
-
-
-class TestFitEnclosingEllipsoid(unittest.TestCase):
-    def test_standard_normal_cloud(self):
-        rng = np.random.default_rng(99)
-        samples = rng.standard_normal((100_000, 5))
-        body = fit_enclosing_ellipsoid(samples, radius_scale=1.0)
-        self.assertLess(np.linalg.norm(body.center), 0.05)
-        self.assertLess(np.linalg.norm(body.shape - np.eye(5), 2), 0.05)
-        self.assertTrue(body.symmetric_psd)
-
-    def test_identical_samples(self):
-        v = np.array([1.0, -2.0])
-        body = fit_enclosing_ellipsoid(np.tile(v, (10, 1)))
-        np.testing.assert_allclose(body.center, v)
-        np.testing.assert_array_equal(body.shape, np.zeros((2, 2)))
-
-    def test_uniform_disk_moment(self):
-        # per-coordinate second moment of the uniform unit ball is 1/(n+2)
-        rng = np.random.default_rng(3)
-        n = 2
-        points = rng.standard_normal((100_000, n))
-        points *= (rng.random(100_000) ** (1.0 / n) / np.linalg.norm(points, axis=1))[
-            :, None
-        ]
-        body = fit_enclosing_ellipsoid(points, radius_scale=np.sqrt(n + 2))
-        self.assertLess(np.linalg.norm(body.shape - np.eye(n), 2), 0.05)
-
-    def test_default_scale_is_sqrt_n(self):
-        rng = np.random.default_rng(17)
-        samples = rng.standard_normal((2000, 3))
-        scaled = fit_enclosing_ellipsoid(samples)
-        explicit = fit_enclosing_ellipsoid(samples, radius_scale=np.sqrt(3))
-        np.testing.assert_allclose(scaled.shape, explicit.shape)
-
-    def test_rank_deficient_cloud_is_flat(self):
-        rng = np.random.default_rng(8)
-        planar = rng.standard_normal((500, 3))
-        planar[:, 2] = 0.0
-        body = fit_enclosing_ellipsoid(planar)
-        self.assertEqual(np.linalg.matrix_rank(body.shape), 2)
-        self.assertTrue(body.symmetric_psd)
-
-    def test_too_few_samples(self):
-        with self.assertRaises(ValueError):
-            fit_enclosing_ellipsoid(np.zeros((1, 3)))
 
 
 class TestGaussianProjection(unittest.TestCase):

@@ -7,6 +7,10 @@ import sys
 import tempfile
 import unittest
 from pathlib import Path
+from typing import NamedTuple
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import projsep
 from projsep import __version__
@@ -407,6 +411,169 @@ class TestRemovedSolverFlags(unittest.TestCase):
         )
         self.assertEqual(code, 2)
         self.assertIn("unrecognized arguments", err)
+
+
+class TestMalformedInput(unittest.TestCase):
+    """Each input used to end in a traceback; each is a domain error (exit 1)."""
+
+    def assert_domain_error(self, argv, content=None):
+        # "{tmp}" in argv names a fresh directory that holds input.json
+        with tempfile.TemporaryDirectory() as tmp:
+            (Path(tmp) / "input.json").write_text(json.dumps(content))
+            code, _, err = run_cli([arg.format(tmp=tmp) for arg in argv])
+        self.assertEqual(code, 1, err)
+        self.assertEqual([line for line in err.splitlines() if line.startswith("error:")],
+                         [err.splitlines()[-1]])
+        self.assertNotIn("Traceback", err)
+
+    def test_separate_pair_file_holding_a_list(self):
+        self.assert_domain_error(["separate", "--pair", "{tmp}/input.json"], [1, 2])
+
+    def test_bound_pair_file_holding_a_list(self):
+        self.assert_domain_error(["bound", "--pair", "{tmp}/input.json"], [1, 2])
+
+    def test_separate_pair_of_numbers(self):
+        self.assert_domain_error(["separate", "--pair", "{tmp}/input.json"], {"e1": 5, "e2": 6})
+
+    def test_separate_null_radius(self):
+        pair = {"e1": {"center": [0.0, 0.0], "radius": None},
+                "e2": {"center": [3.0, 0.0], "radius": 1.0}}
+        self.assert_domain_error(["separate", "--pair", "{tmp}/input.json"], pair)
+
+    def test_plan_classes_of_numbers(self):
+        self.assert_domain_error(["plan", "--classes", "{tmp}/input.json"], {"classes": [1, 2]})
+
+    def test_width_mc_pair_of_numbers(self):
+        self.assert_domain_error(["width-mc", "--pair", "{tmp}/input.json"], {"e1": 5, "e2": 6})
+
+    def test_pca_toy_zero_dimension(self):
+        self.assert_domain_error(["pca-toy", "--n", "0", "--radius", "1", "--out", "{tmp}/x.csv"])
+
+    def test_width_mc_zero_dimension(self):
+        self.assert_domain_error(["width-mc", "--alpha", "0.5", "--n", "0"])
+
+
+def mostly(good, bad, odds=10):
+    """Draws from ``bad`` when a k drawn from 1..odds equals odds, else from ``good``."""
+    return st.integers(1, odds).flatmap(lambda k: bad if k == odds else good)
+
+
+numbers = mostly(st.integers(-12, 12).map(lambda k: k / 4),
+                 st.sampled_from([float("nan"), float("inf"), 1e300, 10**400, None, "1"]),
+                 odds=50)
+json_values = st.recursive(
+    st.none() | st.booleans() | numbers | st.text(max_size=3),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.sampled_from(["center", "radius", "shape", "e1", "e2", "classes"]),
+                      children, max_size=3),
+    max_leaves=8,
+)
+
+
+def bodies(n):
+    center = st.lists(numbers, min_size=n, max_size=n)
+    radius = numbers.map(lambda value: abs(value) if isinstance(value, float) else value)
+    diagonal = st.lists(radius, min_size=n, max_size=n).map(
+        lambda d: [[d[i] if i == j else 0.0 for j in range(n)] for i in range(n)])
+    columns = st.integers(0, n + 1).flatmap(lambda k: st.lists(
+        st.lists(numbers, min_size=k, max_size=k), min_size=n, max_size=n))
+    body = st.fixed_dictionaries({"center": center, "radius": radius}) \
+        | st.fixed_dictionaries({"center": center, "shape": diagonal | columns})
+    return mostly(body, json_values)
+
+
+BODIES = [bodies(n) for n in range(5)]
+dims = mostly(st.integers(1, 3), st.integers(0, 4))
+pairs = mostly(dims.flatmap(lambda n: st.fixed_dictionaries({"e1": BODIES[n], "e2": BODIES[n]})),
+               json_values)
+class_lists = dims.flatmap(lambda n: st.lists(BODIES[n], min_size=2, max_size=4))
+# rows of features labelled 0, 1, 0, 1, ... in turn, or a few arbitrary cells
+csv_text = st.integers(1, 3).flatmap(lambda width: mostly(
+    st.lists(st.lists(st.sampled_from(["0", "1", "2", "0.5", "-1"]),
+                      min_size=width, max_size=width), min_size=6, max_size=10)
+    .map(lambda rows: [["label"] + [f"f{i}" for i in range(width)]]
+         + [[str(i % 2)] + row for i, row in enumerate(rows)]),
+    st.lists(st.lists(st.sampled_from(["label", "f0", "0", "1", "nan", "x", ""]), max_size=3),
+             max_size=4),
+)).map(lambda rows: "".join(",".join(row) + "\n" for row in rows))
+small = mostly(st.integers(2, 6).map(str), st.sampled_from(["1", "0", "-1", "x"]))
+reals = mostly(st.sampled_from(["0.1", "0.3", "0.5", "0.7", "1", "2.5"]),
+               st.sampled_from(["0", "-1", "nan", "inf", "abc"]))
+grids = mostly(st.sampled_from(["0.4", "0.2,0.6", "0:0.5:1", "1:1:3", "2", "6"]),
+               st.sampled_from(["1:0:2", "2,1", "-1", "0", "abc", "0:1"]))
+seeds = mostly(st.integers(0, 2**64 - 1), st.integers(-1, 2**64)).map(str)
+
+
+class FileContent(NamedTuple):
+    """A drawn value that is written to a file, whose path goes on the command line."""
+
+    value: object
+
+
+def file(content):
+    return content.map(FileContent)
+
+
+# subcommand -> {flag: strategy}; the first REQUIRED flags are usually drawn, the rest half the time
+FLAGS = {
+    "bound": {"--pair": file(pairs), "--eta": reals},
+    "separate": {"--pair": file(pairs)},
+    "cone-phase": {"--n": small, "--grid": grids, "--ms": grids, "--seed": seeds},
+    "ellipsoid-phase": {"--n": small, "--grid": grids, "--ms": grids, "--seed": seeds,
+                        "--variant": st.sampled_from(["general", "hyperplane", "x"])},
+    "plan": {"--classes": file(mostly(class_lists | st.fixed_dictionaries(
+                 {"classes": class_lists}), json_values)),
+             "--p": reals},
+    "width-mc": {"--n": small, "--pair": file(pairs), "--alpha": reals, "--seed": seeds},
+    "pca-toy": {"--n": small, "--radius": reals, "--center-norm": reals, "--seed": seeds,
+                "--kind": st.sampled_from(["two-balls", "cross-polytope", "x"])},
+    "classify": {"--data": file(csv_text), "--ratio": reals, "--l2": reals, "--tol": reals,
+                 "--method": st.sampled_from(["identity", "rp:1", "pca:1", "rp:0", "pca:x", "y"]),
+                 "--seed": seeds},
+}
+REQUIRED = {"bound": 1, "separate": 1, "cone-phase": 2, "ellipsoid-phase": 2, "plan": 1,
+            "width-mc": 2, "pca-toy": 2, "classify": 1}
+# flags that bound the work of a run; always given, so no run takes long
+BOUNDS = {"cone-phase": "--trials", "ellipsoid-phase": "--trials", "width-mc": "--trials",
+          "pca-toy": "--samples", "classify": "--max-iters"}
+CONFIGS = {command: mostly(st.none(), st.dictionaries(
+               st.sampled_from([f.strip("-") for f in flags] + ["max_iter", "handler"]),
+               json_values, max_size=3) | json_values, odds=5)
+           for command, flags in FLAGS.items()}
+usually = mostly(st.just(True), st.just(False))
+work = mostly(st.integers(2, 3), st.integers(-1, 1)).map(str)
+
+
+class TestEveryInputExits(unittest.TestCase):
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_dispatch_returns_0_1_or_2(self, data):
+        for command, flags in FLAGS.items():
+            with tempfile.TemporaryDirectory() as tmp:
+                code, _, err = run_cli(self.draw_argv(data, command, flags, Path(tmp)))
+            self.assertIn(code, (0, 1, 2), err)
+            self.assertNotIn("Traceback", err)
+
+    def draw_argv(self, data, command, flags, tmp):
+        argv = [command, "--out", str(tmp / "out")]
+        if command in BOUNDS:
+            argv += [BOUNDS[command], data.draw(work)]
+        for index, flag in enumerate(flags):
+            if not data.draw(usually if index < REQUIRED[command] else st.booleans()):
+                continue
+            value = data.draw(flags[flag])
+            if isinstance(value, FileContent):
+                path = tmp / flag.strip("-")
+                text = value.value
+                path.write_text(text if isinstance(text, str) else json.dumps(text))
+                value = str(path)
+            argv += [flag, value]
+        config = data.draw(CONFIGS[command])
+        if config is not None:
+            path = tmp / "config.json"
+            path.write_text(json.dumps(config))
+            argv += ["--config", str(path)]
+        return argv
 
 
 if __name__ == "__main__":

@@ -5,34 +5,11 @@ import numpy as np
 
 from projsep.bodies import Ball, make_ellipsoid
 from projsep.escape import (
-    akf_bounds,
-    escape_probability_lower,
     plan_multiclass,
     required_dim_gordon,
     required_dim_two_balls,
 )
 from projsep.widths import circular_width_sq, lambda_m
-
-
-class TestEscapeProbabilityLower(unittest.TestCase):
-    def test_zero_width(self):
-        # for w = 0 the exponent is lambda_m^2 / 2
-        m = 10
-        expected = 1.0 - math.exp(-0.5 * lambda_m(m) ** 2)
-        self.assertAlmostEqual(escape_probability_lower(m, 0.0), expected, places=12)
-
-    def test_wide_set_gives_zero(self):
-        self.assertEqual(escape_probability_lower(4, 100.0), 0.0)
-
-    def test_monotone_in_m(self):
-        probs = [escape_probability_lower(m, 3.0) for m in range(10, 200, 10)]
-        self.assertTrue(all(a <= b for a, b in zip(probs, probs[1:])))
-
-    def test_invalid_width(self):
-        with self.assertRaises(ValueError):
-            escape_probability_lower(5, -1.0)
-        with self.assertRaises(ValueError):
-            escape_probability_lower(5, float("nan"))
 
 
 class TestRequiredDimGordon(unittest.TestCase):
@@ -51,40 +28,20 @@ class TestRequiredDimGordon(unittest.TestCase):
         self.assertTrue(all(a <= b for a, b in zip(ms, ms[1:])))
 
     def test_probability_consistency(self):
-        # the returned M actually achieves failure probability <= eta
+        # the returned M achieves failure probability <= eta by Gordon's
+        # escape bound 1 - exp(-(lambda_m(M) - w)^2 / 2)
         for w in (0.0, 1.0, 5.0, 10.0):
             for eta in (0.1, 0.01):
                 m = required_dim_gordon(w, eta)
-                self.assertGreaterEqual(
-                    escape_probability_lower(m, w), 1.0 - eta - 1e-12
-                )
+                self.assertGreater(lambda_m(m), w)
+                escape = 1.0 - math.exp(-0.5 * (lambda_m(m) - w) ** 2)
+                self.assertGreaterEqual(escape, 1.0 - eta - 1e-12)
 
     def test_eta_range(self):
         with self.assertRaises(ValueError):
             required_dim_gordon(1.0, 0.0)
         with self.assertRaises(ValueError):
             required_dim_gordon(1.0, 1.0)
-
-
-class TestAkfBounds(unittest.TestCase):
-    def test_reference_point(self):
-        bounds = akf_bounds(math.sqrt(50.0), 100, 0.05)
-        self.assertEqual(bounds.m_success, 135)
-        self.assertEqual(bounds.m_failure, 0)
-
-    def test_failure_clamped_at_zero(self):
-        bounds = akf_bounds(1.0, 50, 0.5)
-        self.assertGreaterEqual(bounds.m_failure, 0)
-
-    def test_success_grows_with_width(self):
-        ms = [akf_bounds(w, 100, 0.05).m_success for w in (1.0, 5.0, 8.0)]
-        self.assertTrue(all(a <= b for a, b in zip(ms, ms[1:])))
-
-    def test_eta_range(self):
-        with self.assertRaises(ValueError):
-            akf_bounds(1.0, 10, 0.0)
-        with self.assertRaises(ValueError):
-            akf_bounds(1.0, 10, 4.0)
 
 
 class TestRequiredDimTwoBalls(unittest.TestCase):

@@ -5,8 +5,6 @@ from scipy.stats import norm
 
 from projsep.bodies import Ball, CircularCone, make_ellipsoid
 from projsep.widths import (
-    PairGeometry,
-    alpha_star,
     circular_width_sq,
     lambda_m,
     mc_expected_map_norm,
@@ -131,33 +129,6 @@ class TestWidthBoundEllipsoids(unittest.TestCase):
             width_bound_ellipsoids(r1, r2).value,
             places=9,
         )
-
-
-class TestAlphaStar(unittest.TestCase):
-    def test_point_bodies_zero(self):
-        e1 = make_ellipsoid([0.0, 0.0], np.zeros((2, 2)))
-        e2 = make_ellipsoid([3.0, 0.0], np.zeros((2, 2)))
-        geom = PairGeometry.from_ellipsoids(e1, e2)
-        self.assertEqual(alpha_star(geom, np.array([0.0, 1.0])), 0.0)
-
-    def test_unit_balls_value(self):
-        # shapes are the identity, so alpha*(g2) = 2 ||g2|| / (zeta - 2)
-        e1, e2 = unit_ball_pair(5, 4.0)
-        geom = PairGeometry.from_ellipsoids(e1, e2)
-        g2 = np.array([0.0, 3.0, 0.0, 0.0, 0.0])
-        self.assertAlmostEqual(alpha_star(geom, g2), 2.0 * 3.0 / 2.0, places=12)
-
-    def test_requires_orthogonal_input(self):
-        e1, e2 = unit_ball_pair(3, 4.0)
-        geom = PairGeometry.from_ellipsoids(e1, e2)
-        with self.assertRaises(ValueError):
-            alpha_star(geom, np.array([1.0, 0.0, 0.0]))
-
-    def test_invalid_geometry_rejected(self):
-        e1, e2 = unit_ball_pair(3, 2.0)
-        geom = PairGeometry.from_ellipsoids(e1, e2)
-        with self.assertRaises(ValueError):
-            alpha_star(geom, np.array([0.0, 1.0, 0.0]))
 
 
 class TestPositivePartExpectation(unittest.TestCase):
