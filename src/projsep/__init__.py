@@ -29,7 +29,6 @@ from .experiments import (
     PhaseGrid,
     TransitionEstimate,
     estimate_transition,
-    load_phase_grid,
     run_cone_phase,
     run_ellipsoid_phase,
     sample_wishart_shape,
@@ -45,7 +44,6 @@ from .separation import (
     nullspace_avoids_cone,
 )
 from .widths import (
-    PairGeometry,
     WidthBound,
     circular_width_sq,
     lambda_m,
@@ -71,7 +69,6 @@ __all__ = [
     "PhaseGrid",
     "TransitionEstimate",
     "estimate_transition",
-    "load_phase_grid",
     "run_cone_phase",
     "run_ellipsoid_phase",
     "sample_wishart_shape",
@@ -83,7 +80,6 @@ __all__ = [
     "dual_cone_margin",
     "min_norm_point",
     "nullspace_avoids_cone",
-    "PairGeometry",
     "WidthBound",
     "circular_width_sq",
     "lambda_m",

@@ -30,6 +30,16 @@ def _as_float_array(value, name: str, ndim: int) -> np.ndarray:
     return arr
 
 
+def binary_exponent(*arrays: np.ndarray) -> int:
+    """Exponent ``e`` with the arrays' largest absolute entry in ``[2**(e-1), 2**e)``.
+
+    0 when every entry is zero. Dividing by ``2**e`` (``np.ldexp(a, -e)``)
+    is exact unless an entry falls below ``2**-1022``, and it brings sums
+    of squares of the entries into range at any scale.
+    """
+    return math.frexp(max(np.abs(a).max(initial=0.0) for a in arrays))[1]
+
+
 def _is_symmetric_psd(matrix: np.ndarray) -> bool:
     if matrix.shape[0] != matrix.shape[1]:
         return False

@@ -11,6 +11,7 @@ byte-for-byte (timing columns excepted, as wall-clock is measured).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -37,6 +38,9 @@ SCHEMA_VERSION = 1
 
 THEOREM_HYPOTHESIS_REASON = "theorem-hypothesis-violated"
 
+# most points a lo:step:hi grid may expand to
+MAX_GRID_POINTS = 100_000
+
 
 def _slug(message: str) -> str:
     head = message.split("\n", 1)[0].split(":", 1)[0]
@@ -51,10 +55,15 @@ def parse_grid(text: str) -> list[float]:
         if len(parts) != 3:
             raise ValueError(f"grid must be lo:step:hi, got {text!r}")
         lo, step, hi = (float(p) for p in parts)
+        if not all(math.isfinite(v) for v in (lo, step, hi)):
+            raise ValueError("grid lo, step and hi must be finite")
         if step <= 0.0 or hi < lo:
             raise ValueError(f"grid must advance from lo to hi, got {text!r}")
-        count = int(math.floor((hi - lo) / step + 1e-9)) + 1
-        return [lo + k * step for k in range(count)]
+        # the range has floor(span) + 1 points; an infinite span has too many
+        span = (hi - lo) / step + 1e-9
+        if span >= MAX_GRID_POINTS:
+            raise ValueError(f"grid has more than {MAX_GRID_POINTS} points")
+        return [lo + k * step for k in range(int(math.floor(span)) + 1)]
     if "," in text:
         return [float(p) for p in text.split(",") if p]
     return [float(text)]
@@ -276,7 +285,9 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once: parsing does not change it."""
     parser = argparse.ArgumentParser(
         prog="projsep",
         description="Random-projection separability toolkit",

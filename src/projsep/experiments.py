@@ -1,10 +1,11 @@
-"""Phase-transition experiment harnesses and their on-disk format.
+"""Phase-transition experiment harnesses and their CSV output.
 
 Grids sweep a geometry parameter (cone half-angle or center gap) against
 the projected dimension M, counting disjointness successes per cell. Each
 trial derives its own RNG substream from the master seed and draws one
 Gaussian matrix, whose first M rows project for every M, so a cell's count
-does not depend on evaluation order or on the rest of the grid.
+does not depend on evaluation order or on the rest of the grid, and every
+row of counts is non-decreasing in M.
 
 CSV schema: header ``param,M,trials,successes,indeterminate``, one row per
 cell, param formatted with six decimals. A sibling ``<name>.meta.json``
@@ -39,9 +40,10 @@ class PhaseGrid:
     """Success counts over a (parameter, projected dimension) grid.
 
     ``successes[i, j]`` counts Disjoint verdicts for ``axis1[i]`` and
-    ``axis2[j]``; ``indeterminate`` tallies verdicts whose certificate and
-    witness both failed their checks (they count as failures in the success
-    ratio).
+    ``axis2[j]``; each row is non-decreasing in M, since disjointness under
+    a matrix's first M rows implies it under its first M + 1. ``indeterminate``
+    tallies verdicts whose certificate and witness both failed their checks
+    (they count as failures in the success ratio).
     """
 
     axis1: tuple[float, ...]
@@ -57,6 +59,8 @@ class PhaseGrid:
             raise ValueError("count matrices must be axis1-by-axis2")
         if np.any(self.successes < 0) or np.any(self.successes > self.trials):
             raise ValueError("successes must lie in [0, trials]")
+        if np.any(np.diff(self.successes, axis=1) < 0):
+            raise ValueError("successes must not fall as M grows")
         if np.any(self.indeterminate < 0) or np.any(self.indeterminate > self.trials):
             raise ValueError("indeterminate counts must lie in [0, trials]")
 
@@ -135,11 +139,10 @@ def run_cone_phase(n: int, alphas, ms, trials: int, seed: int) -> PhaseGrid:
 def sample_wishart_shape(n: int, seed, constrained_axis=None) -> np.ndarray:
     """Draw a Wishart shape matrix ``X @ X.T`` with n degrees of freedom.
 
-    ``seed`` may be an integer or an existing Generator. With
-    ``constrained_axis`` the matrix annihilates that unit axis: for a
-    signed standard basis axis the Wishart block is embedded on the
-    complementary coordinates (so ``A @ axis`` is exactly zero), otherwise
-    a Householder basis of the orthogonal complement carries the block.
+    ``seed`` may be an integer or an existing Generator. ``constrained_axis``,
+    if given, must be a signed standard basis vector; the matrix then
+    annihilates it exactly, with an (n-1)-dimensional Wishart block on the
+    other coordinates.
     """
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
@@ -151,25 +154,15 @@ def sample_wishart_shape(n: int, seed, constrained_axis=None) -> np.ndarray:
     axis = np.asarray(constrained_axis, dtype=float)
     if axis.shape != (n,):
         raise ValueError("constrained_axis dimension mismatch")
-    if abs(float(np.linalg.norm(axis)) - 1.0) > 1e-12:
-        raise ValueError("constrained_axis must have unit norm")
+    nonzero = np.flatnonzero(axis)
+    if nonzero.size != 1 or abs(axis[nonzero[0]]) != 1.0:
+        raise ValueError("constrained_axis must be a signed standard basis vector")
     y = rng.standard_normal((n - 1, n - 1))
     w = y @ y.T
-    w = 0.5 * (w + w.T)
-    nonzero = np.flatnonzero(axis)
-    if nonzero.size == 1 and abs(axis[nonzero[0]]) == 1.0:
-        rest = np.delete(np.arange(n), nonzero[0])
-        out = np.zeros((n, n))
-        out[np.ix_(rest, rest)] = w
-        return out
-    basis = np.eye(n)[:, 1:]
-    u = axis - np.eye(n)[:, 0]
-    u_norm = float(np.linalg.norm(u))
-    if u_norm > 1e-12:
-        householder = np.eye(n) - 2.0 * np.outer(u, u) / (u_norm**2)
-        basis = householder[:, 1:]
-    out = basis @ w @ basis.T
-    return 0.5 * (out + out.T)
+    rest = np.delete(np.arange(n), nonzero[0])
+    out = np.zeros((n, n))
+    out[np.ix_(rest, rest)] = 0.5 * (w + w.T)
+    return out
 
 
 def run_ellipsoid_phase(
@@ -277,26 +270,6 @@ def _base_meta(kind: str, n: int, seed: int, trials: int) -> dict:
     }
 
 
-def _isotonic_non_decreasing(values: np.ndarray) -> np.ndarray:
-    """Pool-adjacent-violators fit with equal weights."""
-    levels: list[float] = []
-    counts: list[int] = []
-    for v in values:
-        levels.append(float(v))
-        counts.append(1)
-        while len(levels) > 1 and levels[-2] > levels[-1]:
-            total = counts[-2] + counts[-1]
-            pooled = (levels[-2] * counts[-2] + levels[-1] * counts[-1]) / total
-            levels[-2:] = [pooled]
-            counts[-2:] = [total]
-    out = np.empty(len(values))
-    pos = 0
-    for level, count in zip(levels, counts):
-        out[pos : pos + count] = level
-        pos += count
-    return out
-
-
 def _crossing(ms: tuple[int, ...], ratios: np.ndarray, level: float) -> float:
     if ratios[0] >= level:
         return float(ms[0])
@@ -311,16 +284,14 @@ def _crossing(ms: tuple[int, ...], ratios: np.ndarray, level: float) -> float:
 def estimate_transition(grid: PhaseGrid, level: float = 0.5) -> list[TransitionEstimate]:
     """Per-parameter success-level crossings with a 5%-95% band.
 
-    Rows are smoothed to be non-decreasing in M (isotonic fit) before
-    interpolating crossings linearly between grid points. The sweeps' rows
-    are non-decreasing by construction, so the fit only changes rows read
-    from CSVs written before the sweeps shared one matrix per trial.
+    Crossings are interpolated linearly between grid points. No smoothing
+    is needed: ``PhaseGrid`` rows are non-decreasing in M.
     """
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must lie in (0, 1), got {level!r}")
     estimates = []
     for i, param in enumerate(grid.axis1):
-        ratios = _isotonic_non_decreasing(grid.success_ratio[i])
+        ratios = grid.success_ratio[i]
         m_cross = _crossing(grid.axis2, ratios, level)
         if ratios[0] >= level:
             flag = "all-success"
@@ -366,44 +337,3 @@ def save_phase_grid(grid: PhaseGrid, path) -> None:
     with meta_path(path).open("w") as handle:
         json.dump(grid.meta, handle, indent=2, sort_keys=True)
         handle.write("\n")
-
-
-def load_phase_grid(path) -> PhaseGrid:
-    """Rebuild a PhaseGrid from ``save_phase_grid`` output."""
-    path = Path(path)
-    with path.open(newline="") as handle:
-        reader = csv.reader(handle)
-        header = tuple(next(reader))
-        if header != CSV_HEADER:
-            raise ValueError(f"unexpected CSV header {header!r}")
-        rows = [
-            (row[0], int(row[1]), int(row[2]), int(row[3]), int(row[4]))
-            for row in reader
-        ]
-    if not rows:
-        raise ValueError("grid CSV has no data rows")
-    axis1 = tuple(dict.fromkeys(float(r[0]) for r in rows))
-    axis2 = tuple(dict.fromkeys(r[1] for r in rows))
-    trials = rows[0][2]
-    if any(r[2] != trials for r in rows):
-        raise ValueError("trials must be uniform across cells")
-    if len(rows) != len(axis1) * len(axis2):
-        raise ValueError("grid CSV is ragged")
-    successes = np.zeros((len(axis1), len(axis2)), dtype=np.int64)
-    indeterminate = np.zeros_like(successes)
-    for idx, row in enumerate(rows):
-        i, j = divmod(idx, len(axis2))
-        successes[i, j] = row[3]
-        indeterminate[i, j] = row[4]
-    meta = {}
-    sidecar = meta_path(path)
-    if sidecar.exists():
-        meta = json.loads(sidecar.read_text())
-    return PhaseGrid(
-        axis1=axis1,
-        axis2=axis2,
-        trials=trials,
-        successes=successes,
-        indeterminate=indeterminate,
-        meta=meta,
-    )

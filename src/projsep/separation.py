@@ -19,7 +19,7 @@ from itertools import count
 
 import numpy as np
 
-from .bodies import Ball, CircularCone, Ellipsoid, GaussianProjection
+from .bodies import Ball, CircularCone, Ellipsoid, GaussianProjection, binary_exponent
 
 DISJOINT = "Disjoint"
 INTERSECTING = "Intersecting"
@@ -193,26 +193,29 @@ def dual_cone_margin(w, e1: Ellipsoid | Ball, e2: Ellipsoid | Ball) -> float:
         raise ValueError("direction dimension does not match the bodies")
     if float(np.linalg.norm(w)) == 0.0:
         raise ValueError("direction must be nonzero")
-    return (
-        float(w @ (e2.center - e1.center))
-        - float(np.linalg.norm(e1.shape.T @ w))
-        - float(np.linalg.norm(e2.shape.T @ w))
-    )
+    return _margin(w, e2.center - e1.center, e1.shape, e2.shape)
 
 
-def _certified(direction, e1: Ellipsoid, e2: Ellipsoid, evaluations: int):
-    """Disjoint with the unit direction as certificate, if its margin is positive."""
+def _margin(w: np.ndarray, d: np.ndarray, b1: np.ndarray, b2: np.ndarray) -> float:
+    return float(w @ d) - float(np.linalg.norm(b1.T @ w)) - float(np.linalg.norm(b2.T @ w))
+
+
+def _certified(direction, d, b1, b2, evaluations: int, exp: int):
+    """Disjoint with the unit direction as certificate, if its margin is positive.
+
+    ``d = c2 - c1``, ``b1`` and ``b2`` are in units of ``2**exp``; the returned margin is not.
+    """
     length = float(np.linalg.norm(direction))
     if not length > 0.0:
         return None
     w = direction / length
-    margin = dual_cone_margin(w, e1, e2)
+    margin = _margin(w, d, b1, b2)
     if not margin > 0.0:
         return None
-    along = float(w @ (e2.center - e1.center))
+    along = float(w @ d)
     return SeparationVerdict(
         state=DISJOINT,
-        margin=margin,
+        margin=math.ldexp(margin, exp),
         norm=along / (along - margin) if along > margin else math.inf,
         iterations=evaluations,
         certificate=w,
@@ -233,12 +236,12 @@ def _weights(mu: np.ndarray, s: float) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
-def _maximize(mu: np.ndarray, v2: np.ndarray) -> tuple[float, float, int]:
-    """Maximizer ``s`` of the concave ``f`` on [0, 1], or an ``s`` with ``f(s) > 1``.
+def _maximize(mu: np.ndarray, v2: np.ndarray, level: float) -> tuple[float, float, int]:
+    """Maximizer ``s`` of the concave ``f`` on [0, 1], or an ``s`` with ``f(s) > level``.
 
     Returns ``(s, f(s), evaluations)``. The sign of ``f'`` at each endpoint
     settles the flat-body cases in closed form; otherwise a bracketed
-    Newton iteration on ``f'`` runs until ``f`` exceeds 1, ``f'`` vanishes,
+    Newton iteration on ``f'`` runs until ``f > level``, ``f'`` vanishes,
     the Newton step no longer moves ``s``, or the bracket holds no float.
     """
     flat1, flat2 = mu == 0.0, mu == 1.0
@@ -251,7 +254,7 @@ def _maximize(mu: np.ndarray, v2: np.ndarray) -> tuple[float, float, int]:
         den = mu * s + (1.0 - mu) * (1.0 - s)
         f = s * (1.0 - s) * float(np.sum(v2 / den))
         slope = float(np.sum(v2 * ((1.0 - mu) * (1.0 - s) ** 2 - mu * s * s) / den**2))
-        if f > 1.0 or slope == 0.0:
+        if f > level or slope == 0.0:
             return s, f, evaluations
         if slope > 0.0:
             lo = s
@@ -279,12 +282,15 @@ def decide_disjoint(e1: Ellipsoid | Ball, e2: Ellipsoid | Ball) -> SeparationVer
     maximum. A certificate is returned only with a positive
     ``dual_cone_margin``, a witness only if it reproduces a common point up
     to ``WITNESS_TOL``; Indeterminate is left when neither check accepts.
-    Touching bodies intersect.
+    Touching bodies intersect. The decision runs on the pair divided by a
+    power of two (see ``binary_exponent``), which is exact and keeps every
+    norm in range, so it does not depend on the pair's scale.
     """
     e1, e2 = _pair(e1, e2)
-    b1, b2 = e1.shape, e2.shape
-    d = e2.center - e1.center
-    verdict = _certified(d, e1, e2, 0)
+    exp = binary_exponent(e1.center, e2.center, e1.shape, e2.shape)
+    c1, c2, b1, b2 = (np.ldexp(a, -exp) for a in (e1.center, e2.center, e1.shape, e2.shape))
+    d = c2 - c1
+    verdict = _certified(d, d, b1, b2, 0, exp)
     if verdict is not None:
         return verdict
     # [B1 B2] = U diag(sigma) [P1 P2] whitens S1 + S2 = U diag(sigma^2) U' on
@@ -293,26 +299,31 @@ def decide_disjoint(e1: Ellipsoid | Ball, e2: Ellipsoid | Ball) -> SeparationVer
     basis, sigma, rows = np.linalg.svd(both, full_matrices=False)
     rank = int(np.sum(sigma > sigma[:1] * max(both.shape) * np.finfo(float).eps))
     basis, sigma, rows = basis[:, :rank], sigma[:rank], rows[:rank]
-    verdict = _certified(d - basis @ (basis.T @ d), e1, e2, 0)
+    verdict = _certified(d - basis @ (basis.T @ d), d, b1, b2, 0, exp)
     if verdict is not None:
         return verdict
     p1, p2 = rows[:, : b1.shape[1]], rows[:, b1.shape[1] :]
     mu, rotation = np.linalg.eigh(p1 @ p1.T)
     mu = np.where(mu < FLAT_TOL, 0.0, np.where(mu > 1.0 - FLAT_TOL, 1.0, mu))
     coords = rotation.T @ ((basis.T @ d) / sigma)
-    s, f, evaluations = _maximize(mu, coords**2)
-    a, b = _weights(mu, s)
+    s, f, evaluations = _maximize(mu, coords**2, 1.0)
     if f > 1.0:
+        a, b = _weights(mu, s)
         # s (1 - s) / den, which is 1 - s where body 2 is flat
         weight = np.where(mu == 1.0, (1.0 - s) * a, s * b)
         lam = basis @ ((rotation @ (weight * coords)) / sigma)
-        verdict = _certified(lam, e1, e2, evaluations)
+        verdict = _certified(lam, d, b1, b2, evaluations, exp)
         if verdict is not None:
             return verdict
+        # touching up to rounding: only the maximizer itself gives a witness
+        # with ||x|| = ||y|| = sqrt(max f), not the first s with f > 1
+        s, f, more = _maximize(mu, coords**2, math.inf)
+        evaluations += more
+    a, b = _weights(mu, s)
     x = p1.T @ (rotation @ (a * coords))
     y = -(p2.T @ (rotation @ (b * coords)))
-    size = max(float(np.linalg.norm(v)) for v in (e1.center, e2.center, b1, b2))
-    residual = float(np.linalg.norm(e1.center + b1 @ x - e2.center - b2 @ y))
+    size = max(float(np.linalg.norm(v)) for v in (c1, c2, b1, b2))
+    residual = float(np.linalg.norm(c1 + b1 @ x - c2 - b2 @ y))
     reach = max(float(np.linalg.norm(x)), float(np.linalg.norm(y)))
     witnessed = reach <= 1.0 + WITNESS_TOL and residual <= WITNESS_TOL * size
     return SeparationVerdict(

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.special import gammaln, ndtr
 
 from ._rng import substream
-from .bodies import CircularCone, Ellipsoid
+from .bodies import CircularCone, Ellipsoid, binary_exponent
 
 CIRCULAR_CURVE_SQ = "CircularCurveSq"
 ELLIPSOID_THEOREM = "EllipsoidTheorem"
@@ -49,52 +49,6 @@ class WidthBound:
         }
 
 
-@dataclass(frozen=True)
-class PairGeometry:
-    """Center-line geometry of two symmetric-PSD ellipsoids.
-
-    Fields: center gap ``zeta``, unit axis from the second center to the
-    first, Frobenius norms of both shapes, shape actions ``||A_i @ axis||``
-    on the axis, and the shape matrices themselves.
-    """
-
-    zeta: float
-    axis: np.ndarray
-    fro1: float
-    fro2: float
-    ae1: float
-    ae2: float
-    shape1: np.ndarray
-    shape2: np.ndarray
-
-    @classmethod
-    def from_ellipsoids(cls, e1: Ellipsoid, e2: Ellipsoid) -> "PairGeometry":
-        if not (e1.symmetric_psd and e2.symmetric_psd):
-            raise ValueError("pair geometry requires symmetric PSD shape matrices")
-        if e1.ambient_dim != e2.ambient_dim:
-            raise ValueError("ellipsoids must share an ambient dimension")
-        gap = e1.center - e2.center
-        zeta = float(np.linalg.norm(gap))
-        if zeta == 0.0:
-            raise ValueError("ellipsoid centers coincide")
-        axis = gap / zeta
-        return cls(
-            zeta=zeta,
-            axis=axis,
-            fro1=float(np.linalg.norm(e1.shape, "fro")),
-            fro2=float(np.linalg.norm(e2.shape, "fro")),
-            ae1=float(np.linalg.norm(e1.shape @ axis)),
-            ae2=float(np.linalg.norm(e2.shape @ axis)),
-            shape1=e1.shape,
-            shape2=e2.shape,
-        )
-
-    @property
-    def denominator(self) -> float:
-        """Slack of the bound hypothesis: ``zeta - ||A1 e|| - ||A2 e||``."""
-        return self.zeta - self.ae1 - self.ae2
-
-
 def lambda_m(m: int) -> float:
     """Expected norm of an m-dimensional standard normal vector.
 
@@ -122,6 +76,40 @@ def circular_width_sq(n: int, alpha: float) -> WidthBound:
     return WidthBound(value=value, kind=CIRCULAR_CURVE_SQ)
 
 
+def _norm(a: np.ndarray, ord=None) -> float:
+    """``np.linalg.norm(a, ord)``, taken of ``a / 2**e`` and scaled back.
+
+    With ``e = binary_exponent(a)`` the squares stay in range at any
+    scale; where they already do, the value is the same.
+    """
+    exp = binary_exponent(a)
+    return math.ldexp(float(np.linalg.norm(np.ldexp(a, -exp), ord)), exp)
+
+
+def _center_line(e1: Ellipsoid, e2: Ellipsoid) -> tuple[np.ndarray, float, float, float]:
+    """Center-line geometry of two symmetric-PSD ellipsoids.
+
+    Returns the unit axis from the second center to the first, the center
+    gap ``zeta`` and the shapes' pulls ``||A1 @ axis||`` and ``||A2 @ axis||``.
+    """
+    if not (e1.symmetric_psd and e2.symmetric_psd):
+        raise ValueError("pair geometry requires symmetric PSD shape matrices")
+    if e1.ambient_dim != e2.ambient_dim:
+        raise ValueError("ellipsoids must share an ambient dimension")
+    gap = e1.center - e2.center
+    zeta = _norm(gap)
+    if zeta == 0.0:
+        raise ValueError("ellipsoid centers coincide")
+    axis = gap / zeta
+    return axis, zeta, _norm(e1.shape @ axis), _norm(e2.shape @ axis)
+
+
+def _hypothesis_not_met(kind: str, zeta: float, pull: float, std_error=None) -> WidthBound:
+    """Invalid bound: the center gap does not exceed the shapes' axis pull."""
+    reason = f"center gap {zeta} does not exceed axis pull {pull}"
+    return WidthBound(math.inf, kind, std_error, valid=False, reason=reason)
+
+
 def width_bound_ellipsoids(e1: Ellipsoid, e2: Ellipsoid) -> WidthBound:
     """Closed-form width bound for the difference cone of two ellipsoids.
 
@@ -131,19 +119,11 @@ def width_bound_ellipsoids(e1: Ellipsoid, e2: Ellipsoid) -> WidthBound:
     ``(||A1||_F + ||A2||_F) / (zeta - ||A1 e|| - ||A2 e||) + 1/sqrt(2 pi)``.
     Otherwise the bound does not apply and ``valid`` is False.
     """
-    geom = PairGeometry.from_ellipsoids(e1, e2)
-    if geom.denominator <= 0.0:
-        return WidthBound(
-            value=math.inf,
-            kind=ELLIPSOID_THEOREM,
-            valid=False,
-            reason=(
-                f"center gap {geom.zeta} does not exceed axis pull "
-                f"{geom.ae1 + geom.ae2}"
-            ),
-        )
-    value = (geom.fro1 + geom.fro2) / geom.denominator + INV_SQRT_2PI
-    return WidthBound(value=value, kind=ELLIPSOID_THEOREM)
+    _, zeta, ae1, ae2 = _center_line(e1, e2)
+    if zeta - ae1 - ae2 <= 0.0:
+        return _hypothesis_not_met(ELLIPSOID_THEOREM, zeta, ae1 + ae2)
+    fro = _norm(e1.shape, "fro") + _norm(e2.shape, "fro")
+    return WidthBound(value=fro / (zeta - ae1 - ae2) + INV_SQRT_2PI, kind=ELLIPSOID_THEOREM)
 
 
 def _positive_part_expectation_vec(a: np.ndarray) -> np.ndarray:
@@ -173,26 +153,17 @@ def mc_width_pseudoprojection(
     """
     if trials < 2:
         raise ValueError(f"need at least 2 trials, got {trials}")
-    geom = PairGeometry.from_ellipsoids(e1, e2)
-    if geom.denominator <= 0.0:
-        return WidthBound(
-            value=math.inf,
-            kind=MONTE_CARLO,
-            std_error=math.inf,
-            valid=False,
-            reason=(
-                f"center gap {geom.zeta} does not exceed axis pull "
-                f"{geom.ae1 + geom.ae2}"
-            ),
-        )
-    n = geom.axis.shape[0]
+    axis, zeta, ae1, ae2 = _center_line(e1, e2)
+    if zeta - ae1 - ae2 <= 0.0:
+        return _hypothesis_not_met(MONTE_CARLO, zeta, ae1 + ae2, std_error=math.inf)
     rng = substream(seed, "width-pseudoprojection")
-    g = rng.standard_normal((trials, n))
-    g2 = g - np.outer(g @ geom.axis, geom.axis)
-    numerator = np.linalg.norm(g2 @ geom.shape1.T, axis=1) + np.linalg.norm(
-        g2 @ geom.shape2.T, axis=1
-    )
-    values = _positive_part_expectation_vec(numerator / geom.denominator)
+    g = rng.standard_normal((trials, axis.shape[0]))
+    g2 = g - np.outer(g @ axis, axis)
+    # norms of the rows of g2 @ A' in units of 2**exp, so their squares stay in range
+    exp = binary_exponent(e1.shape, e2.shape)
+    shape1, shape2 = (np.ldexp(e.shape, -exp) for e in (e1, e2))
+    numerator = np.linalg.norm(g2 @ shape1.T, axis=1) + np.linalg.norm(g2 @ shape2.T, axis=1)
+    values = _positive_part_expectation_vec(numerator / math.ldexp(zeta - ae1 - ae2, -exp))
     estimate = float(values.mean())
     std_error = float(values.std(ddof=1) / math.sqrt(trials))
     return WidthBound(value=estimate, kind=MONTE_CARLO, std_error=std_error)

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import projsep
 from projsep import __version__
-from projsep.cli import SCHEMA_VERSION, dispatch
+from projsep.cli import MAX_GRID_POINTS, SCHEMA_VERSION, dispatch, parse_grid
 
 
 def run_cli(argv):
@@ -93,6 +93,63 @@ class TestSeparateCommand(unittest.TestCase):
         self.assertEqual(payload["state"], "Disjoint")
         self.assertAlmostEqual(payload["margin"], 3.0, places=4)
         self.assertEqual(len(payload["certificate"]), 3)
+
+
+class TestExtremeScales(unittest.TestCase):
+    """``separate`` and ``bound`` at scales whose squares leave double range."""
+
+    @staticmethod
+    def run_pair(tmp, command, e1, e2):
+        path = Path(tmp) / "pair.json"
+        path.write_text(json.dumps({"e1": e1, "e2": e2}))
+        return run_cli([command, "--pair", str(path)])
+
+    def outcomes(self, s):
+        shape = [[s, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+        pairs = {
+            "overlapping": ({"center": [s, 0.0, 0.0], "shape": shape},
+                            {"center": [0.0, 0.0, 0.0], "shape": shape}),
+            "apart": ({"center": [0.0, 0.0, 0.0], "radius": s},
+                      {"center": [3.0 * s, 0.0, 0.0], "radius": s}),
+        }
+        out = {}
+        with tempfile.TemporaryDirectory() as tmp:
+            for name, (e1, e2) in pairs.items():
+                code, text, _ = self.run_pair(tmp, "separate", e1, e2)
+                self.assertEqual(code, 0)
+                out[name, "separate"] = json.loads(text)["state"]
+                code, text, err = self.run_pair(tmp, "bound", e1, e2)
+                out[name, "bound"] = (code, json.loads(text)["required_m"] if code == 0 else
+                                      err.splitlines()[-1])
+        return out
+
+    def test_same_outcomes_as_at_scale_1(self):
+        reference = self.outcomes(1.0)
+        self.assertEqual(reference["overlapping", "separate"], "Intersecting")
+        self.assertEqual(reference["apart", "separate"], "Disjoint")
+        for s in (1e-200, 1e-160, 1e160, 1e200):
+            self.assertEqual(self.outcomes(s), reference, f"scale {s}")
+
+
+class TestGridRanges(unittest.TestCase):
+    def assert_one_error_line(self, grid):
+        with tempfile.TemporaryDirectory() as tmp:
+            code, _, err = run_cli(["cone-phase", "--n", "2", "--ms", "1", "--trials", "1",
+                                    "--grid", grid, "--out", str(Path(tmp) / "x.csv")])
+        self.assertEqual(code, 1, err)
+        self.assertEqual([line for line in err.splitlines() if line.startswith("error:")],
+                         [err.splitlines()[-1]])
+
+    def test_non_finite_bound_is_a_domain_error(self):
+        for grid in ("0:1:inf", "nan:1:2", "0:inf:1"):
+            with self.subTest(grid):
+                self.assert_one_error_line(grid)
+
+    def test_too_many_points_is_a_domain_error(self):
+        step = 1.0 / MAX_GRID_POINTS
+        self.assertEqual(len(parse_grid(f"0:{step}:{1.0 - step}")), MAX_GRID_POINTS)
+        # cap + 1 half-angles in [0, 1]: a cheap sweep when not rejected
+        self.assert_one_error_line(f"0:{step}:1")
 
 
 class TestUsageErrors(unittest.TestCase):

@@ -1,3 +1,5 @@
+import csv
+import json
 import tempfile
 import unittest
 from pathlib import Path
@@ -12,7 +14,6 @@ from projsep.experiments import (
     ELLIPSOID_HYPERPLANE_KIND,
     PhaseGrid,
     estimate_transition,
-    load_phase_grid,
     meta_path,
     run_cone_phase,
     run_ellipsoid_phase,
@@ -141,18 +142,17 @@ class TestSampleWishartShape(unittest.TestCase):
         self.assertAlmostEqual(np.mean(traces), n * n, delta=0.05 * n * n)
 
     def test_constrained_axis_annihilated(self):
-        axis = np.zeros(6)
-        axis[0] = 1.0
-        shape = sample_wishart_shape(6, 3, constrained_axis=axis)
-        np.testing.assert_array_equal(shape @ axis, np.zeros(6))
+        for axis in (np.eye(6)[0], -np.eye(6)[3]):
+            shape = sample_wishart_shape(6, 3, constrained_axis=axis)
+            np.testing.assert_array_equal(shape @ axis, np.zeros(6))
+            self.assertEqual(np.linalg.matrix_rank(shape), 5)
 
-    def test_constrained_general_axis(self):
+    def test_non_basis_axis_rejected(self):
         rng = np.random.default_rng(4)
         axis = rng.standard_normal(6)
-        axis /= np.linalg.norm(axis)
-        shape = sample_wishart_shape(6, 5, constrained_axis=axis)
-        scale = np.linalg.norm(shape, 2)
-        self.assertLessEqual(np.linalg.norm(shape @ axis), 1e-12 * max(1.0, scale))
+        for bad in (axis / np.linalg.norm(axis), 2.0 * np.eye(6)[1], np.zeros(6)):
+            with self.assertRaises(ValueError):
+                sample_wishart_shape(6, 5, constrained_axis=bad)
 
     def test_generator_input(self):
         rng = np.random.default_rng(9)
@@ -245,12 +245,10 @@ class TestEstimateTransition(unittest.TestCase):
         self.assertEqual(est.flag, "all-failure")
         self.assertTrue(np.isnan(est.m_cross))
 
-    def test_noisy_profile_is_smoothed(self):
-        # the isotonic fit must absorb the non-monotone dip
-        ms = (5, 6, 7, 8, 9)
-        est = estimate_transition(grid_from_ratios(ms, [0.1, 0.4, 0.3, 0.8, 1.0]))[0]
-        self.assertGreater(est.m_cross, 5.0)
-        self.assertLess(est.m_cross, 9.0)
+    def test_falling_row_is_rejected(self):
+        # a row that falls as M grows cannot come from a coupled sweep
+        with self.assertRaisesRegex(ValueError, "fall"):
+            grid_from_ratios((5, 6, 7, 8, 9), [0.1, 0.4, 0.3, 0.8, 1.0])
 
     def test_level_respected(self):
         ms = tuple(range(10, 25))
@@ -279,14 +277,19 @@ class TestPhaseGridIO(unittest.TestCase):
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "grid.csv"
             save_phase_grid(grid, path)
-            self.assertTrue(meta_path(path).exists())
-            back = load_phase_grid(path)
-        np.testing.assert_allclose(back.axis1, grid.axis1)
-        np.testing.assert_array_equal(back.axis2, grid.axis2)
-        np.testing.assert_array_equal(back.successes, grid.successes)
-        np.testing.assert_array_equal(back.indeterminate, grid.indeterminate)
-        self.assertEqual(back.trials, grid.trials)
-        self.assertEqual(back.meta["kind"], grid.meta["kind"])
+            with path.open(newline="") as handle:
+                rows = list(csv.reader(handle))
+            meta = json.loads(meta_path(path).read_text())
+        self.assertEqual(rows[0], ["param", "M", "trials", "successes", "indeterminate"])
+        cells = [(i, j) for i in range(len(grid.axis1)) for j in range(len(grid.axis2))]
+        self.assertEqual(len(rows), 1 + len(cells))
+        for (i, j), row in zip(cells, rows[1:]):
+            self.assertAlmostEqual(float(row[0]), grid.axis1[i], places=6)
+            self.assertEqual(
+                [int(v) for v in row[1:]],
+                [grid.axis2[j], grid.trials, grid.successes[i, j], grid.indeterminate[i, j]],
+            )
+        self.assertEqual(meta["kind"], grid.meta["kind"])
 
     def test_csv_is_deterministic(self):
         with tempfile.TemporaryDirectory() as tmp:

@@ -9,6 +9,7 @@ from projsep.bodies import (
     Ball,
     CircularCone,
     GaussianProjection,
+    binary_exponent,
     contains,
     make_ellipsoid,
     support,
@@ -36,9 +37,14 @@ def preimage_norms(body, points):
 
 
 def assert_checked(case, verdict, e1, e2):
-    """The certificate separates or the witness is a common point, rechecked here."""
-    e1 = e1.to_ellipsoid() if isinstance(e1, Ball) else e1
-    e2 = e2.to_ellipsoid() if isinstance(e2, Ball) else e2
+    """The certificate separates or the witness is a common point, rechecked here.
+
+    The check runs on the pair divided by a power of two, which is exact
+    and keeps its norms in range at any scale.
+    """
+    e1, e2 = (e.to_ellipsoid() if isinstance(e, Ball) else e for e in (e1, e2))
+    exp = binary_exponent(e1.center, e2.center, e1.shape, e2.shape)
+    e1, e2 = (make_ellipsoid(np.ldexp(e.center, -exp), np.ldexp(e.shape, -exp)) for e in (e1, e2))
     if verdict.state == DISJOINT:
         w = verdict.certificate
         case.assertAlmostEqual(float(np.linalg.norm(w)), 1.0, places=12)
@@ -384,6 +390,12 @@ class TestExactDecision(unittest.TestCase):
         self.assertEqual(verdict.state, DISJOINT)
         self.assertAlmostEqual(verdict.margin, 1e-8, delta=1e-20)
 
+    def test_touching_pair_is_witnessed_at_the_maximizer(self):
+        # f exceeds 1 by rounding short of its maximizer, where ||x|| is 1 + 4e-9
+        verdict = self.decide(ball([1.3125], 1.8125), ball([-3.0], 2.5))
+        self.assertEqual(verdict.state, INTERSECTING)
+        self.assertAlmostEqual(verdict.norm, 1.0, places=12)
+
 
 @st.composite
 def body_pairs(draw):
@@ -424,7 +436,7 @@ def settled(verdict, e1, e2):
 
 class TestProperties(unittest.TestCase):
     @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(body_pairs(), st.integers(-8, 8))
+    @given(body_pairs(), st.integers(-200, 200))
     def test_verdicts_are_invariant_and_checked(self, pair, exponent):
         e1, e2, seed = pair
         verdict = decide_disjoint(e1, e2)
@@ -448,6 +460,40 @@ class TestProperties(unittest.TestCase):
             other = decide_disjoint(f1, f2)
             assert_checked(self, other, f1, f2)
             self.assertEqual(other.state, verdict.state, name)
+
+
+def scale_pairs(s):
+    """Two pairs at scale s, whose squared sizes leave double range at 1e+-160.
+
+    ``overlapping``: equal shapes diag(s, 1, 1) centred at s e_0 and 0 (a
+    gap of s against an axis pull of 2s). ``apart``: unit balls scaled by
+    s with centres 3s apart.
+    """
+    shape = np.diag([s, 1.0, 1.0])
+    return {
+        "overlapping": (make_ellipsoid([s, 0.0, 0.0], shape), make_ellipsoid(np.zeros(3), shape)),
+        "apart": (ball([0.0, 0.0, 0.0], s), ball([3.0 * s, 0.0, 0.0], s)),
+    }
+
+
+EXTREME_SCALES = (1e-200, 1e-160, 1e160, 1e200)
+
+
+class TestExtremeScales(unittest.TestCase):
+    def test_verdicts_keep_at_every_scale(self):
+        reference = {name: decide_disjoint(*pair) for name, pair in scale_pairs(1.0).items()}
+        for s in EXTREME_SCALES:
+            for name, (e1, e2) in scale_pairs(s).items():
+                with self.subTest(name, scale=s):
+                    verdict = decide_disjoint(e1, e2)
+                    self.assertEqual(verdict.state, reference[name].state)
+                    assert_checked(self, verdict, e1, e2)
+                    self.assertAlmostEqual(verdict.margin / s, reference[name].margin, places=12)
+        # only the second pair is a scaled copy of itself at scale 1
+        for s in EXTREME_SCALES:
+            self.assertAlmostEqual(
+                decide_disjoint(*scale_pairs(s)["apart"]).norm, reference["apart"].norm, places=12
+            )
 
 
 class TestNullspaceAvoidsCone(unittest.TestCase):

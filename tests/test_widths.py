@@ -131,6 +131,38 @@ class TestWidthBoundEllipsoids(unittest.TestCase):
         )
 
 
+def scale_pairs(s):
+    """Equal shapes diag(s, 1, 1) centred at s e_0 and 0, and unit balls scaled by s, 3s apart."""
+    shape = np.diag([s, 1.0, 1.0])
+    return {
+        "overlapping": (make_ellipsoid([s, 0.0, 0.0], shape), make_ellipsoid(np.zeros(3), shape)),
+        "apart": (make_ellipsoid(np.zeros(3), s * np.eye(3)),
+                  make_ellipsoid([3.0 * s, 0.0, 0.0], s * np.eye(3))),
+    }
+
+
+class TestExtremeScales(unittest.TestCase):
+    """Scales at which the pairs' squared sizes overflow or underflow a double."""
+
+    @staticmethod
+    def bounds(e1, e2):
+        return width_bound_ellipsoids(e1, e2), mc_width_pseudoprojection(e1, e2, 50, seed=3)
+
+    def test_bounds_keep_at_every_scale(self):
+        reference = {name: self.bounds(*pair) for name, pair in scale_pairs(1.0).items()}
+        for s in (1e-200, 1e-160, 1e160, 1e200):
+            for name, pair in scale_pairs(s).items():
+                for got, want in zip(self.bounds(*pair), reference[name]):
+                    with self.subTest(name, scale=s, kind=want.kind):
+                        self.assertEqual(got.valid, want.valid)
+                        if want.valid:
+                            self.assertAlmostEqual(got.value, want.value, places=12)
+                        else:
+                            self.assertEqual(
+                                got.reason, f"center gap {s} does not exceed axis pull {2 * s}"
+                            )
+
+
 class TestPositivePartExpectation(unittest.TestCase):
     def test_zero(self):
         self.assertAlmostEqual(
