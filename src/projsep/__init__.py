@@ -46,7 +46,6 @@ from .separation import (
 from .widths import (
     WidthBound,
     circular_width_sq,
-    lambda_m,
     mc_expected_map_norm,
     mc_width_circular,
     mc_width_pseudoprojection,
@@ -82,7 +81,6 @@ __all__ = [
     "nullspace_avoids_cone",
     "WidthBound",
     "circular_width_sq",
-    "lambda_m",
     "mc_expected_map_norm",
     "mc_width_circular",
     "mc_width_pseudoprojection",

@@ -43,6 +43,8 @@ def binary_exponent(*arrays: np.ndarray) -> int:
 def _is_symmetric_psd(matrix: np.ndarray) -> bool:
     if matrix.shape[0] != matrix.shape[1]:
         return False
+    # the tolerances apply in units of the largest entry, so scaling keeps the answer
+    matrix = np.ldexp(matrix, -binary_exponent(matrix))
     if not np.all(np.abs(matrix - matrix.T) <= SYMMETRY_TOL):
         return False
     if matrix.shape[0] == 0:
@@ -74,7 +76,12 @@ class Ellipsoid:
 
     @cached_property
     def symmetric_psd(self) -> bool:
-        """Square, symmetric to 1e-10 and with eigenvalues >= -1e-10."""
+        """Square, symmetric and PSD, to 1e-10 of the largest entry.
+
+        After division by ``2**binary_exponent(shape)``, which brings the
+        largest entry into ``[1/2, 1)``, the shape must be symmetric to
+        1e-10 and have eigenvalues >= -1e-10.
+        """
         return _is_symmetric_psd(self.shape)
 
 

@@ -36,7 +36,10 @@ class TestMakeEllipsoid(unittest.TestCase):
         self.assertEqual(body.ambient_dim, 2)
 
     def test_negative_eigenvalue_not_psd(self):
-        self.assertFalse(make_ellipsoid([0.0, 0.0], np.diag([1.0, -1.0])).symmetric_psd)
+        # at every scale: the tolerance is relative to the largest entry
+        for scale in (1.0, 1e-12):
+            shape = scale * np.diag([1.0, -1.0])
+            self.assertFalse(make_ellipsoid([0.0, 0.0], shape).symmetric_psd, scale)
 
     def test_dimension_mismatch(self):
         with self.assertRaises(ValueError):

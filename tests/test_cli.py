@@ -438,18 +438,32 @@ class TestConfigFile(unittest.TestCase):
         self.assertIn("error: config-key-max-iter-is-not-a-flag-of-this-subcommand", err)
 
 
+def run_python(args):
+    """Run a fresh interpreter that imports projsep from this source tree."""
+    src = str(Path(projsep.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=60
+    )
+
+
 class TestModuleEntryPoint(unittest.TestCase):
     def test_python_m_prints_usage(self):
-        src = str(Path(projsep.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        done = subprocess.run(
-            [sys.executable, "-m", "projsep.cli", "--help"],
-            capture_output=True, text=True, env=env, timeout=60,
-        )
+        done = run_python(["-m", "projsep.cli", "--help"])
         self.assertEqual(done.returncode, 0, done.stderr)
         self.assertIn("usage: projsep", done.stdout)
         self.assertIn("cone-phase", done.stdout)
+
+    def test_import_loads_no_scipy(self):
+        # scipy is a test-only referee; importing it would double start-up
+        done = run_python([
+            "-c",
+            "import sys, projsep, projsep.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))",
+        ])
+        self.assertEqual(done.returncode, 0, done.stderr)
+        self.assertEqual(done.stdout.strip(), "[]")
 
 
 class TestRemovedSolverFlags(unittest.TestCase):

@@ -9,7 +9,12 @@ from projsep.escape import (
     required_dim_gordon,
     required_dim_two_balls,
 )
-from projsep.widths import circular_width_sq, lambda_m
+from projsep.widths import circular_width_sq
+
+
+def expected_gaussian_norm(m):
+    # E ||g|| for g standard normal in m dimensions: sqrt(2) Gamma((m+1)/2) / Gamma(m/2)
+    return math.sqrt(2.0) * math.exp(math.lgamma((m + 1) / 2.0) - math.lgamma(m / 2.0))
 
 
 class TestRequiredDimGordon(unittest.TestCase):
@@ -29,12 +34,13 @@ class TestRequiredDimGordon(unittest.TestCase):
 
     def test_probability_consistency(self):
         # the returned M achieves failure probability <= eta by Gordon's
-        # escape bound 1 - exp(-(lambda_m(M) - w)^2 / 2)
+        # escape bound 1 - exp(-(lambda_M - w)^2 / 2), lambda_M = E ||g_M||
         for w in (0.0, 1.0, 5.0, 10.0):
             for eta in (0.1, 0.01):
                 m = required_dim_gordon(w, eta)
-                self.assertGreater(lambda_m(m), w)
-                escape = 1.0 - math.exp(-0.5 * (lambda_m(m) - w) ** 2)
+                lam = expected_gaussian_norm(m)
+                self.assertGreater(lam, w)
+                escape = 1.0 - math.exp(-0.5 * (lam - w) ** 2)
                 self.assertGreaterEqual(escape, 1.0 - eta - 1e-12)
 
     def test_eta_range(self):

@@ -1,3 +1,4 @@
+import math
 import unittest
 
 import numpy as np
@@ -6,7 +7,6 @@ from scipy.stats import norm
 from projsep.bodies import Ball, CircularCone, make_ellipsoid
 from projsep.widths import (
     circular_width_sq,
-    lambda_m,
     mc_expected_map_norm,
     mc_width_circular,
     mc_width_pseudoprojection,
@@ -20,9 +20,9 @@ def positive_part_expectation(a):
     return float(_positive_part_expectation_vec(np.asarray(a, dtype=float)))
 
 
-def mc_gaussian_norm_mean(m, trials, seed):
-    rng = np.random.default_rng(seed)
-    return np.linalg.norm(rng.standard_normal((trials, m)), axis=1).mean()
+def expected_gaussian_norm(m):
+    # E ||g|| for g standard normal in m dimensions: sqrt(2) Gamma((m+1)/2) / Gamma(m/2)
+    return math.sqrt(2.0) * math.exp(math.lgamma((m + 1) / 2.0) - math.lgamma(m / 2.0))
 
 
 def unit_ball_pair(n, zeta):
@@ -31,34 +31,6 @@ def unit_ball_pair(n, zeta):
     c2 = np.zeros(n)
     c1[0], c2[0] = -half, half
     return Ball(c1, 1.0).to_ellipsoid(), Ball(c2, 1.0).to_ellipsoid()
-
-
-class TestLambdaM(unittest.TestCase):
-    def test_known_values(self):
-        self.assertAlmostEqual(lambda_m(1), np.sqrt(2.0 / np.pi), places=12)
-        self.assertAlmostEqual(lambda_m(2), np.sqrt(np.pi / 2.0), places=12)
-        self.assertAlmostEqual(lambda_m(3), 2.0 * np.sqrt(2.0 / np.pi), places=12)
-
-    def test_monte_carlo_m1(self):
-        est = mc_gaussian_norm_mean(1, 1_000_000, 7)
-        self.assertAlmostEqual(est, lambda_m(1), delta=3e-3)
-
-    def test_bracketing_and_monotone(self):
-        prev = 0.0
-        for m in (1, 2, 3, 5, 10, 100, 10_000):
-            lam = lambda_m(m)
-            self.assertGreater(lam, np.sqrt(m - 1.0))
-            self.assertLess(lam, np.sqrt(float(m)))
-            self.assertGreater(lam, prev)
-            prev = lam
-
-    def test_large_m_stable(self):
-        # direct Gamma ratio overflows long before this
-        self.assertAlmostEqual(lambda_m(1e6) / np.sqrt(1e6), 1.0, places=6)
-
-    def test_invalid(self):
-        with self.assertRaises(ValueError):
-            lambda_m(0.5)
 
 
 class TestCircularWidthSq(unittest.TestCase):
@@ -162,6 +134,24 @@ class TestExtremeScales(unittest.TestCase):
                                 got.reason, f"center gap {s} does not exceed axis pull {2 * s}"
                             )
 
+    def test_rounded_symmetric_shape_keeps_its_bound(self):
+        # Q diag(1, 2, 3, 4) Q' is symmetric only to rounding, 1.1e-16 of its size
+        q, _ = np.linalg.qr(np.random.default_rng(5).standard_normal((4, 4)))
+        shape = q @ np.diag([1.0, 2.0, 3.0, 4.0]) @ q.T
+        self.assertGreater(np.abs(shape - shape.T).max(), 0.0)
+
+        def bound(s):
+            e1 = make_ellipsoid(np.zeros(4), s * shape)
+            return width_bound_ellipsoids(e1, make_ellipsoid([20.0 * s, 0.0, 0.0, 0.0], s * shape))
+
+        reference = bound(1.0)
+        self.assertTrue(reference.valid)
+        for s in (1e8, 1e12):
+            with self.subTest(scale=s):
+                got = bound(s)
+                self.assertTrue(got.valid)
+                self.assertAlmostEqual(got.value, reference.value, places=12)
+
 
 class TestPositivePartExpectation(unittest.TestCase):
     def test_zero(self):
@@ -175,12 +165,14 @@ class TestPositivePartExpectation(unittest.TestCase):
         )
 
     def test_closed_form_identity(self):
-        # E max(0, a + g) = a Phi(a) + phi(a)
-        for a in (-2.0, -0.5, 0.0, 0.5, 1.0, 2.0, 5.0):
-            expected = a * norm.cdf(a) + norm.pdf(a)
-            self.assertAlmostEqual(
-                positive_part_expectation(a), expected, places=12
-            )
+        # E max(0, a + g) = a Phi(a) + phi(a), on the range a >= 0 that
+        # mc_width_pseudoprojection evaluates
+        a = np.linspace(0.0, 40.0, 40_001)
+        expected = a * norm.cdf(a) + norm.pdf(a)
+        np.testing.assert_allclose(_positive_part_expectation_vec(a), expected, rtol=1e-14, atol=0)
+        point, expected = _positive_part_expectation_vec(np.asarray(2.5)), 2.5 * norm.cdf(2.5) + norm.pdf(2.5)
+        self.assertEqual(np.ndim(point), 0)
+        self.assertAlmostEqual(float(point), expected, delta=1e-14 * expected)
 
     def test_envelope(self):
         for a in (0.0, 0.5, 1.0, 2.0, 5.0):
@@ -264,8 +256,9 @@ class TestMcWidthCircular(unittest.TestCase):
 
 class TestMcExpectedMapNorm(unittest.TestCase):
     def test_identity_map(self):
+        self.assertAlmostEqual(expected_gaussian_norm(1), np.sqrt(2.0 / np.pi), places=12)
         est = mc_expected_map_norm(np.eye(20), trials=20_000, seed=1)
-        self.assertAlmostEqual(est.estimate, lambda_m(20), delta=4.0 * est.std_error)
+        self.assertAlmostEqual(est.estimate, expected_gaussian_norm(20), delta=4.0 * est.std_error)
 
     def test_zero_map(self):
         est = mc_expected_map_norm(np.zeros((3, 3)), trials=100, seed=0)
