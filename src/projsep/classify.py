@@ -183,24 +183,23 @@ class MlrModel:
 
 
 def _design(features: np.ndarray, mean: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    standardized = (features - mean) / scale
-    return np.hstack([standardized, np.ones((features.shape[0], 1))])
+    """Standardized features with a row of ones below: one column per sample."""
+    design = np.ones((features.shape[1] + 1, features.shape[0]))
+    np.subtract(features.T, mean[:, None], out=design[:-1])
+    design[:-1] /= scale[:, None]
+    return design
 
 
-def _loss_grad(
-    design: np.ndarray, onehot: np.ndarray, weights: np.ndarray, l2: float
-) -> tuple[float, np.ndarray]:
-    logits = design @ weights.T
-    logits -= logits.max(axis=1, keepdims=True)
-    exp = np.exp(logits)
-    total = exp.sum(axis=1, keepdims=True)
-    log_probs = logits - np.log(total)
-    loss = -float((onehot * log_probs).sum()) / design.shape[0]
-    penalty = weights.copy()
-    penalty[:, -1] = 0.0
-    loss += 0.5 * l2 * float((penalty[:, :-1] ** 2).sum())
-    grad = ((exp / total) - onehot).T @ design / design.shape[0] + l2 * penalty
-    return loss, grad
+def _cross_entropy(logits: np.ndarray, picked: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """Mean cross-entropy of ``k x p`` logits, with the softmax's ``exp`` and column sums.
+
+    ``picked`` holds the flat index of each sample's true-class logit.
+    """
+    shifted = logits - logits.max(axis=0)
+    exp = np.exp(shifted)
+    total = exp.sum(axis=0)
+    loss = float(np.log(total).sum() - shifted.take(picked).sum()) / picked.size
+    return loss, exp, total
 
 
 def train_mlr(
@@ -214,45 +213,55 @@ def train_mlr(
     Features are standardized on training statistics (stored in the
     model); the bias column is excluded from the L2 penalty. Training
     stops when the gradient norm falls to ``tol`` or after ``max_iters``
-    accepted steps. The loss trace is non-increasing.
+    accepted steps. The loss trace is non-increasing. Logits are linear
+    in the weights, so each step forms the gradient ``g`` and its logits
+    ``g X`` once, and a trial step ``t`` costs only the loss of ``Z - t g X``.
     """
     labels = train.labels
     k = train.n_classes
     if np.unique(labels).size < 2:
         raise ValueError("training data must contain at least 2 classes")
-    if l2 < 0.0:
-        raise ValueError(f"l2 must be >= 0, got {l2!r}")
+    if not (math.isfinite(l2) and l2 >= 0.0):
+        raise ValueError(f"l2 must be finite and >= 0, got {l2!r}")
+    if not tol >= 0.0:
+        raise ValueError(f"tol must be >= 0, got {tol!r}")
+    if max_iters < 0:
+        raise ValueError(f"max_iters must be >= 0, got {max_iters!r}")
     mean = train.features.mean(axis=0)
     std = train.features.std(axis=0)
     scale = np.where(std > 1e-12, std, 1.0)
     design = _design(train.features, mean, scale)
-    onehot = np.zeros((labels.size, k))
-    onehot[np.arange(labels.size), labels] = 1.0
-    weights = np.zeros((k, design.shape[1]))
-    loss, grad = _loss_grad(design, onehot, weights, l2)
+    p = labels.size
+    picked = labels * p + np.arange(p)
+    weights = np.zeros((k, design.shape[0]))
+    logits = np.zeros((k, p))
+    loss, exp, total = _cross_entropy(logits, picked)
     trace = [loss]
-    converged = False
     step = 1.0
-    for _ in range(max_iters):
+    while True:
+        residual = exp / total
+        residual.ravel()[picked] -= 1.0
+        grad = residual @ design.T
+        grad /= p
+        grad[:, :-1] += l2 * weights[:, :-1]
         grad_sq = float((grad**2).sum())
-        if math.sqrt(grad_sq) <= tol:
-            converged = True
+        converged = math.sqrt(grad_sq) <= tol
+        if converged or len(trace) > max_iters:
             break
+        along = grad @ design
         step = min(step * 2.0, 1e6)
-        accepted = False
         for _ in range(60):
             candidate = weights - step * grad
-            new_loss, new_grad = _loss_grad(design, onehot, candidate, l2)
+            trial = logits - step * along
+            new_loss, exp, total = _cross_entropy(trial, picked)
+            new_loss += 0.5 * l2 * float((candidate[:, :-1] ** 2).sum())
             if new_loss <= loss - ARMIJO_SLOPE * step * grad_sq:
-                accepted = True
                 break
             step *= 0.5
-        if not accepted:
+        else:
             break
-        weights, loss, grad = candidate, new_loss, new_grad
+        weights, logits, loss = candidate, trial, new_loss
         trace.append(loss)
-    else:
-        converged = math.sqrt(float((grad**2).sum())) <= tol
     return MlrModel(
         weights=weights,
         feature_mean=mean,
@@ -266,7 +275,7 @@ def predict(model: MlrModel, features) -> np.ndarray:
     """Class labels for feature rows under the trained model."""
     features = np.asarray(features, dtype=float)
     design = _design(features, model.feature_mean, model.feature_scale)
-    return np.argmax(design @ model.weights.T, axis=1)
+    return np.argmax(model.weights @ design, axis=0)
 
 
 def error_rate(model: MlrModel, data: Dataset) -> float:
@@ -275,13 +284,19 @@ def error_rate(model: MlrModel, data: Dataset) -> float:
 
 @dataclass(frozen=True)
 class PipelineReport:
-    """One method's test error and training cost within a pipeline run."""
+    """One method's test error and training cost within a pipeline run.
+
+    ``steps`` and ``converged`` say how training stopped; the report CSV
+    leaves them out.
+    """
 
     method: str
     m: int
     seed: int
     error: float
     train_seconds: float
+    steps: int
+    converged: bool
 
     def to_row(self) -> list:
         return [self.method, self.m, self.seed, repr(self.error), repr(self.train_seconds)]
@@ -345,6 +360,8 @@ def run_pipeline(
                 seed=seed,
                 error=error_rate(model, test_set),
                 train_seconds=elapsed,
+                steps=len(model.loss_trace) - 1,
+                converged=model.converged,
             )
         )
     return reports

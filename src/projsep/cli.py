@@ -279,6 +279,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
         print(
             f"{report.method}\tM={report.m}\terror={report.error:.4f}"
             f"\ttrain_seconds={report.train_seconds:.3f}"
+            f"\tsteps={report.steps}\tconverged={report.converged}"
         )
     if args.out:
         save_report(reports, args.out)

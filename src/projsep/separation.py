@@ -51,11 +51,11 @@ class MinNormResult:
 class SeparationVerdict:
     """Outcome of a disjointness decision.
 
-    ``certificate`` (Disjoint) is a unit direction with positive dual-cone
-    margin; ``witness`` (Intersecting) is the pair of unit-ball preimages
-    of a common point, up to ``WITNESS_TOL`` relative rounding. Touching
-    bodies count as Intersecting. ``norm`` is the factor by which both
-    bodies, scaled about their centres, touch: ``sqrt(max f)`` for
+    ``certificate`` (Disjoint) is a unit direction whose dual-cone margin
+    exceeds its rounding error; ``witness`` (Intersecting) is the pair of
+    unit-ball preimages of a common point, up to ``WITNESS_TOL`` relative
+    rounding. Touching bodies count as Intersecting. ``norm`` is the factor
+    by which both bodies, scaled about their centres, touch: ``sqrt(max f)`` for
     Intersecting, and for Disjoint the lower bound ``<w, d> / (||B1'w|| +
     ||B2'w||)`` that the certificate w proves (None in ``to_dict`` when
     infinite). ``iterations`` counts evaluations of f.
@@ -200,17 +200,36 @@ def _margin(w: np.ndarray, d: np.ndarray, b1: np.ndarray, b2: np.ndarray) -> flo
     return float(w @ d) - float(np.linalg.norm(b1.T @ w)) - float(np.linalg.norm(b2.T @ w))
 
 
-def _certified(direction, d, b1, b2, evaluations: int, exp: int):
-    """Disjoint with the unit direction as certificate, if its margin is positive.
+def _rounding_slack(d: np.ndarray, b1: np.ndarray, b2: np.ndarray) -> float:
+    """Bound on the rounding error of ``_margin(w, d, b1, b2)`` for every unit ``w``.
 
-    ``d = c2 - c1``, ``b1`` and ``b2`` are in units of ``2**exp``; the returned margin is not.
+    ``d`` is rounded from ``c2 - c1``. A length-n dot product errs by at
+    most ``n u |x|'|y|`` (``u = 2**-53``, to first order), whatever the
+    order of summation, and for a unit w, ``|w|'|d| <= ||d||`` and
+    ``|| |B|'|w| || <= ||B||_F``. Rounding ``d`` and the two subtractions
+    add ``3 u`` to the ``<w, d>`` term; the r squares summed and the square
+    root of each norm add ``(r + 1) u``, and the subtractions ``2 u``. So
+    ``kappa = n + r + 4`` covers every term, with one ``u`` to spare for
+    the second-order ones.
+    """
+    kappa = d.size + max(b1.shape[1], b2.shape[1]) + 4
+    size = float(np.linalg.norm(d)) + float(np.linalg.norm(b1)) + float(np.linalg.norm(b2))
+    return math.ldexp(kappa * size, -53)
+
+
+def _certified(direction, d, b1, b2, slack: float, evaluations: int, exp: int):
+    """Disjoint with the unit direction as certificate, if its margin exceeds ``slack``.
+
+    ``d = c2 - c1``, ``b1`` and ``b2`` are in units of ``2**exp``; the returned
+    margin is not. A margin within ``_rounding_slack`` of zero proves nothing,
+    so the pair goes on to the witness path, where touching bodies intersect.
     """
     length = float(np.linalg.norm(direction))
     if not length > 0.0:
         return None
     w = direction / length
     margin = _margin(w, d, b1, b2)
-    if not margin > 0.0:
+    if not margin > slack:
         return None
     along = float(w @ d)
     return SeparationVerdict(
@@ -279,18 +298,20 @@ def decide_disjoint(e1: Ellipsoid | Ball, e2: Ellipsoid | Ball) -> SeparationVer
     separates; at most 1, the maximizer ``s`` gives the common point
     ``c1 + B1 x = c2 + B2 y`` with ``x = B1' lam / (1-s)`` and ``y = -B2'
     lam / s``, where ``||x|| = ||y|| = sqrt(max f)`` at an interior
-    maximum. A certificate is returned only with a positive
-    ``dual_cone_margin``, a witness only if it reproduces a common point up
-    to ``WITNESS_TOL``; Indeterminate is left when neither check accepts.
-    Touching bodies intersect. The decision runs on the pair divided by a
-    power of two (see ``binary_exponent``), which is exact and keeps every
-    norm in range, so it does not depend on the pair's scale.
+    maximum. A certificate is returned only if its ``dual_cone_margin``
+    exceeds the margin's forward rounding error bound, a witness only if it
+    reproduces a common point up to ``WITNESS_TOL``; Indeterminate is left
+    when neither check accepts. Touching bodies intersect. The decision
+    runs on the pair divided by a power of two (see ``binary_exponent``),
+    which is exact and keeps every norm in range, so it does not depend on
+    the pair's scale.
     """
     e1, e2 = _pair(e1, e2)
     exp = binary_exponent(e1.center, e2.center, e1.shape, e2.shape)
     c1, c2, b1, b2 = (np.ldexp(a, -exp) for a in (e1.center, e2.center, e1.shape, e2.shape))
     d = c2 - c1
-    verdict = _certified(d, d, b1, b2, 0, exp)
+    slack = _rounding_slack(d, b1, b2)
+    verdict = _certified(d, d, b1, b2, slack, 0, exp)
     if verdict is not None:
         return verdict
     # [B1 B2] = U diag(sigma) [P1 P2] whitens S1 + S2 = U diag(sigma^2) U' on
@@ -299,7 +320,7 @@ def decide_disjoint(e1: Ellipsoid | Ball, e2: Ellipsoid | Ball) -> SeparationVer
     basis, sigma, rows = np.linalg.svd(both, full_matrices=False)
     rank = int(np.sum(sigma > sigma[:1] * max(both.shape) * np.finfo(float).eps))
     basis, sigma, rows = basis[:, :rank], sigma[:rank], rows[:rank]
-    verdict = _certified(d - basis @ (basis.T @ d), d, b1, b2, 0, exp)
+    verdict = _certified(d - basis @ (basis.T @ d), d, b1, b2, slack, 0, exp)
     if verdict is not None:
         return verdict
     p1, p2 = rows[:, : b1.shape[1]], rows[:, b1.shape[1] :]
@@ -312,7 +333,7 @@ def decide_disjoint(e1: Ellipsoid | Ball, e2: Ellipsoid | Ball) -> SeparationVer
         # s (1 - s) / den, which is 1 - s where body 2 is flat
         weight = np.where(mu == 1.0, (1.0 - s) * a, s * b)
         lam = basis @ ((rotation @ (weight * coords)) / sigma)
-        verdict = _certified(lam, d, b1, b2, evaluations, exp)
+        verdict = _certified(lam, d, b1, b2, slack, evaluations, exp)
         if verdict is not None:
             return verdict
         # touching up to rounding: only the maximizer itself gives a witness

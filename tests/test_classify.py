@@ -5,6 +5,8 @@ from pathlib import Path
 import numpy as np
 
 from projsep.classify import (
+    ARMIJO_SLOPE,
+    DEFAULT_L2,
     Dataset,
     dataset_from_arrays,
     error_rate,
@@ -24,6 +26,14 @@ def two_ball_dataset(n=4, gap=3.0, samples=400, seed=1):
     center[0] = gap
     points = toy_two_balls(n, center, 1.0, samples=samples, seed=seed)
     return dataset_from_arrays(points.features, points.labels)
+
+
+def mixture_dataset(classes=5, n=6, per_class=40, seed=3):
+    """Overlapping Gaussian classes centred at 1.5 e_k."""
+    rng = np.random.default_rng(seed)
+    centers = 1.5 * np.eye(classes, n)
+    labels = np.repeat(np.arange(classes), per_class)
+    return Dataset(centers[labels] + rng.standard_normal((labels.size, n)), labels)
 
 
 def line_dataset(count=200, seed=2):
@@ -162,6 +172,77 @@ class TestTrainMlr(unittest.TestCase):
         model = train_mlr(data, max_iters=100)
         labels = predict(model, data.features)
         self.assertTrue(set(np.unique(labels)) <= {0, 1})
+
+
+def referee_design(data):
+    """The standardized features with a bias column, one row per sample."""
+    mean = data.features.mean(axis=0)
+    std = data.features.std(axis=0)
+    scale = np.where(std > 1e-12, std, 1.0)
+    standardized = (data.features - mean) / scale
+    return np.hstack([standardized, np.ones((data.n_samples, 1))])
+
+
+def referee_loss_grad(design, onehot, weights, l2):
+    """Loss and gradient from scratch: logits of the weights, one-hot products."""
+    logits = design @ weights.T
+    logits -= logits.max(axis=1, keepdims=True)
+    exp = np.exp(logits)
+    total = exp.sum(axis=1, keepdims=True)
+    log_probs = logits - np.log(total)
+    loss = -float((onehot * log_probs).sum()) / design.shape[0]
+    penalty = weights.copy()
+    penalty[:, -1] = 0.0
+    loss += 0.5 * l2 * float((penalty[:, :-1] ** 2).sum())
+    grad = ((exp / total) - onehot).T @ design / design.shape[0] + l2 * penalty
+    return loss, grad
+
+
+def referee_train(design, onehot, l2, max_iters):
+    """Armijo gradient descent that evaluates loss and gradient at every trial."""
+    weights = np.zeros((onehot.shape[1], design.shape[1]))
+    loss, grad = referee_loss_grad(design, onehot, weights, l2)
+    trace = [loss]
+    step = 1.0
+    for _ in range(max_iters):
+        grad_sq = float((grad**2).sum())
+        step = min(step * 2.0, 1e6)
+        for _ in range(60):
+            candidate = weights - step * grad
+            new_loss, new_grad = referee_loss_grad(design, onehot, candidate, l2)
+            if new_loss <= loss - ARMIJO_SLOPE * step * grad_sq:
+                break
+            step *= 0.5
+        else:
+            break
+        weights, loss, grad = candidate, new_loss, new_grad
+        trace.append(loss)
+    return weights, trace
+
+
+class TestTrainMlrReferee(unittest.TestCase):
+    """train_mlr against the plain loop that forms every trial's logits anew."""
+
+    def check(self, data, steps=300):
+        model = train_mlr(data, max_iters=steps, tol=0.0)
+        design = referee_design(data)
+        onehot = np.eye(data.n_classes)[data.labels]
+        weights, trace = referee_train(design, onehot, DEFAULT_L2, steps)
+        self.assertEqual(len(model.loss_trace), steps + 1)
+        self.assertEqual(len(model.loss_trace), len(trace))
+        np.testing.assert_allclose(model.loss_trace, trace, rtol=1e-10)
+        np.testing.assert_array_equal(
+            predict(model, data.features), np.argmax(design @ weights.T, axis=1)
+        )
+        # the loop carries its logits from step to step; they must not drift
+        fresh = referee_loss_grad(design, onehot, model.weights, DEFAULT_L2)[0]
+        self.assertAlmostEqual(model.loss_trace[-1] / fresh, 1.0, delta=1e-10)
+
+    def test_two_balls(self):
+        self.check(two_ball_dataset(samples=100))
+
+    def test_five_class_mixture(self):
+        self.check(mixture_dataset())
 
 
 class TestRunPipeline(unittest.TestCase):

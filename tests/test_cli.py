@@ -351,9 +351,47 @@ class TestPcaToyAndClassify(unittest.TestCase):
             self.assertEqual(len(lines), 2)
             self.assertIn("identity", lines[0])
             self.assertIn("error=", lines[0])
+            self.assertRegex(lines[0], r"\tsteps=\d+\tconverged=(True|False)$")
             report = Path(report_path).read_text().splitlines()
         self.assertEqual(report[0], "method,M,seed,error,train_seconds")
         self.assertEqual(len(report), 3)
+
+
+class TestClassifyKnobs(unittest.TestCase):
+    """Training knobs out of range are domain errors (exit 1, one error line)."""
+
+    def classify(self, *knobs):
+        with tempfile.TemporaryDirectory() as tmp:
+            data = str(Path(tmp) / "toy.csv")
+            run_cli(["pca-toy", "--n", "2", "--radius", "0.5", "--center-norm", "3.0",
+                     "--samples", "20", "--seed", "1", "--out", data])
+            return run_cli(["classify", "--data", data, "--max-iters", "20", "--seed", "2",
+                            *knobs])
+
+    def assert_domain_error(self, *knobs):
+        code, out, err = self.classify(*knobs)
+        self.assertEqual(code, 1, err)
+        self.assertEqual(out, "")
+        self.assertEqual([line for line in err.splitlines() if line.startswith("error:")],
+                         [err.splitlines()[-1]])
+        self.assertNotIn("Warning", err)
+
+    def test_non_finite_or_negative_l2(self):
+        self.assert_domain_error("--l2", "inf")
+        self.assert_domain_error("--l2", "nan")
+        self.assert_domain_error("--l2=-1e-4")
+
+    def test_nan_or_negative_tol(self):
+        self.assert_domain_error("--tol", "nan")
+        self.assert_domain_error("--tol=-1e-6")
+
+    def test_negative_max_iters(self):
+        self.assert_domain_error("--max-iters=-5")
+
+    def test_zero_tol_and_zero_l2_run(self):
+        code, out, err = self.classify("--tol", "0", "--l2", "0")
+        self.assertEqual(code, 0, err)
+        self.assertIn("\tsteps=20\tconverged=False", out)
 
 
 class TestConfigFile(unittest.TestCase):

@@ -1,7 +1,8 @@
 import unittest
+from fractions import Fraction
 
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -36,6 +37,27 @@ def preimage_norms(body, points):
     return np.linalg.norm(solved, axis=0)
 
 
+def exactly_separates(w, e1, e2):
+    """Whether ``<w, d> > ||B1'w|| + ||B2'w||`` holds exactly for the floats given.
+
+    Every float is a rational, so with ``a = <w, d>``, ``b = ||B1'w||^2``
+    and ``c = ||B2'w||^2`` the test ``a > sqrt(b) + sqrt(c)``, which is
+    ``a > 0``, ``a^2 - b - c > 0`` and ``(a^2 - b - c)^2 > 4bc``, is decided
+    in ``Fraction`` without rounding.
+    """
+    w = [Fraction(x) for x in np.asarray(w, dtype=float).tolist()]
+
+    def dot(u):
+        return sum(Fraction(x) * y for x, y in zip(u, w))
+
+    a = sum(((Fraction(x) - Fraction(y)) * z for x, y, z in
+             zip(e2.center.tolist(), e1.center.tolist(), w)), Fraction(0))
+    b, c = (sum((dot(column) ** 2 for column in e.shape.T.tolist()), Fraction(0))
+            for e in (e1, e2))
+    rest = a * a - b - c
+    return a > 0 and rest > 0 and rest * rest > 4 * b * c
+
+
 def assert_checked(case, verdict, e1, e2):
     """The certificate separates or the witness is a common point, rechecked here.
 
@@ -49,6 +71,7 @@ def assert_checked(case, verdict, e1, e2):
         w = verdict.certificate
         case.assertAlmostEqual(float(np.linalg.norm(w)), 1.0, places=12)
         case.assertLess(support(e1, w)[0], -support(e2, -w)[0])
+        case.assertTrue(exactly_separates(w, e1, e2))
         case.assertGreater(verdict.margin, 0.0)
     else:
         case.assertEqual(verdict.state, INTERSECTING)
@@ -395,6 +418,64 @@ class TestExactDecision(unittest.TestCase):
         verdict = self.decide(ball([1.3125], 1.8125), ball([-3.0], 2.5))
         self.assertEqual(verdict.state, INTERSECTING)
         self.assertAlmostEqual(verdict.norm, 1.0, places=12)
+
+
+# skew segments in R^3, so disjoint; but their support values along the centre
+# line are equal, so a positive margin in that direction is rounding only
+SKEW_SEGMENTS = (
+    make_ellipsoid([-2.4375, 0.9375, -0.0625], [[2.625], [2.1875], [-2.25]]),
+    make_ellipsoid([-2.625, -2.5, 0.0], [[2.875], [0.9375], [0.9375]]),
+)
+# integer vectors whose length is an integer: (3, 4) has length 5
+PYTHAGOREAN = ((3, 4, 0, 5), (5, 12, 0, 13), (8, 15, 0, 17), (1, 2, 2, 3), (2, 3, 6, 7),
+               (1, 4, 8, 9), (2, 6, 9, 11))
+
+
+@st.composite
+def tangent_balls(draw):
+    """Two balls of dyadic centres and radii that touch exactly."""
+    *leg, length = draw(st.sampled_from(PYTHAGOREAN))
+    scale = draw(st.integers(1, 3)) / 16.0
+    signs = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=3, max_size=3))
+    offset = scale * np.array(draw(st.permutations(leg))) * signs
+    center = np.array(draw(st.lists(st.integers(-48, 48), min_size=3, max_size=3))) / 16.0
+    length = round(length * scale * 16)
+    r1 = draw(st.integers(1, length - 1))
+    return ball(center, r1 / 16.0), ball(center + offset, (length - r1) / 16.0)
+
+
+@st.composite
+def shared_endpoint_segments(draw):
+    """Two segments of dyadic endpoints with one endpoint in common."""
+    n = draw(st.integers(2, 3))
+    point = st.lists(st.integers(-48, 48).map(lambda k: k / 16.0), min_size=n, max_size=n)
+    a, b, c = (np.array(draw(point)) for _ in range(3))
+    assume(np.any(a != b) and np.any(b != c))
+    return segment(a, b), segment(b, c)
+
+
+class TestExactReferee(unittest.TestCase):
+    """Certificates judged in exact rational arithmetic, and touching pairs."""
+
+    def test_skew_segments_get_an_exact_certificate(self):
+        e1, e2 = SKEW_SEGMENTS
+        self.assertFalse(exactly_separates(e2.center - e1.center, e1, e2))
+        for f1, f2 in ((e1, e2), (e2, e1)):
+            verdict = decide_disjoint(f1, f2)
+            self.assertEqual(verdict.state, DISJOINT)
+            self.assertTrue(exactly_separates(verdict.certificate, f1, f2))
+            # the segments are 2.81 apart along the normal of both
+            self.assertAlmostEqual(verdict.margin, 2.807920553980, places=10)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(tangent_balls() | shared_endpoint_segments())
+    # centres (3, 4)/16 apart, radii summing to 5/16
+    @example((ball([0.0, 0.0], 0.125), ball([0.1875, 0.25], 0.1875)))
+    def test_touching_pairs_intersect(self, pair):
+        e1, e2 = pair
+        verdict = decide_disjoint(e1, e2)
+        self.assertEqual(verdict.state, INTERSECTING)
+        assert_checked(self, verdict, e1, e2)
 
 
 @st.composite
