@@ -24,9 +24,9 @@ from pathlib import Path
 import numpy as np
 
 from ._rng import substream
-from .bodies import CircularCone, Ellipsoid, make_ellipsoid
-from .separation import DISJOINT, INDETERMINATE, decide_disjoint
-from .widths import width_bound_ellipsoids
+from .bodies import CircularCone
+from .separation import DISJOINT, INDETERMINATE, _decide_scaled
+from .widths import _axis_pair_bounds
 
 CSV_HEADER = ("param", "M", "trials", "successes", "indeterminate")
 
@@ -179,12 +179,26 @@ def run_ellipsoid_phase(
     Each trial draws two Wishart shapes (annihilating the center axis in
     the ``hyperplane`` variant), then one ``ms[-1]``-by-n Gaussian matrix,
     shared by every gap and M. The shapes are centered at ``+/- zeta/2``
-    along the first coordinate and projected by the matrix's first M rows.
-    Success is a step in M (a common point under M + 1 rows is one under
-    the first M), so a bisection over ``ms`` finds the least M certified
-    disjoint. An Indeterminate verdict is a failure, tallied where decided.
-    Unprojected pairs are never prefiltered; their status and the mean
-    squared width bound per gap are recorded in ``meta`` instead.
+    along the first coordinate and projected by the matrix's first M rows,
+    which are the first M rows of the matrix's images of the shapes and
+    of the axis, formed once per trial. Success is a step in M (a common
+    point under M + 1 rows is one under the first M), so bisection over
+    ``ms`` finds each gap's least M certified disjoint, ``M*``. The gaps
+    share one bisection: each keeps its own bracket, the midpoint of the
+    widest open bracket is probed, and one decision serves every gap whose
+    bracket holds that probe, since at one prefix the gaps differ only in
+    the scale of the centres (the dual function scales as ``zeta**2``). An
+    Indeterminate verdict is a failure, tallied in the probed cell where
+    it was decided.
+
+    Unprojected pairs are never prefiltered; their status (one decision
+    per trial for every gap) and the mean squared width bound per gap,
+    from shapes validated once per trial, are recorded in ``meta``. So are
+    ``m_star``, per gap: the mean and standard error of ``M*`` over the
+    trials that have one, its histogram over ``ms`` and the count of
+    trials disjoint at no M of the grid; and ``decisions``: the calls of
+    the decision, the decompositions of ``[B1 B2]`` they took and the
+    per-gap verdicts they gave.
 
     ``max_iter`` is accepted and ignored: the decision is exact and has no
     iteration cap. The keyword remains for callers that still pass it.
@@ -196,8 +210,8 @@ def run_ellipsoid_phase(
     if variant not in ("general", "hyperplane"):
         raise ValueError(f"variant must be 'general' or 'hyperplane', got {variant!r}")
     zetas = tuple(float(z) for z in zetas)
-    if any(z < 0.0 for z in zetas):
-        raise ValueError("center gaps must be >= 0")
+    if not all(0.0 <= z < math.inf for z in zetas):
+        raise ValueError("center gaps must be finite and >= 0")
     ms = _validate_axis2(ms)
     if ms[-1] > n:
         raise ValueError("projected dimensions must not exceed the ambient dimension")
@@ -205,49 +219,60 @@ def run_ellipsoid_phase(
     axis = np.zeros(n)
     axis[0] = 1.0
     constrained = axis if variant == "hyperplane" else None
+    gaps = np.array(zetas)
     successes = np.zeros((len(zetas), len(ms)), dtype=np.int64)
     indet = np.zeros_like(successes)
-    preproj = [0] * len(zetas)
+    # least_counts[i, j]: trials whose least disjoint prefix is ms[j]; j = len(ms): none
+    least_counts = np.zeros((len(zetas), len(ms) + 1), dtype=np.int64)
+    preproj = np.zeros(len(zetas), dtype=np.int64)
     bound_sq = [[] for _ in zetas]
+    decisions = {"calls": 0, "decompositions": 0, "verdicts": 0}
+
+    def decide(center, shape1, shape2, scales) -> np.ndarray:
+        verdicts, decomposed = _decide_scaled(center, -center, shape1, shape2, scales)
+        decisions["calls"] += 1
+        decisions["decompositions"] += decomposed
+        decisions["verdicts"] += len(verdicts)
+        return np.array([v.state for v in verdicts])
+
     for t in range(trials):
         rng = substream(seed, kind, t)
         shape1 = sample_wishart_shape(n, rng, constrained_axis=constrained)
         shape2 = sample_wishart_shape(n, rng, constrained_axis=constrained)
         matrix = rng.standard_normal((ms[-1], n))
-        for i, zeta in enumerate(zetas):
-            c1 = 0.5 * zeta * axis
-            body1 = make_ellipsoid(c1, shape1)
-            body2 = make_ellipsoid(-c1, shape2)
-            if zeta > 0.0:
-                bound = width_bound_ellipsoids(body1, body2)
-                if bound.valid:
-                    bound_sq[i].append(bound.value**2)
-            if variant == "hyperplane":
-                # parallel hyperplanes <z, axis> = +/- zeta/2 are disjoint
-                preproj[i] += zeta > 0.0
-            else:
-                preproj[i] += decide_disjoint(body1, body2).state == DISJOINT
-            # least index of ms whose prefix is certified disjoint (len(ms): none)
-            lo, hi = 0, len(ms)
-            while lo < hi:
-                mid = (lo + hi - 1) // 2
-                rows = matrix[: ms[mid]]
-                verdict = decide_disjoint(
-                    Ellipsoid(rows @ c1, rows @ shape1),
-                    Ellipsoid(-(rows @ c1), rows @ shape2),
-                )
-                if verdict.state == DISJOINT:
-                    hi = mid
-                else:
-                    lo = mid + 1
-                    indet[i, mid] += verdict.state == INDETERMINATE
-            successes[i, lo:] += 1
+        for i, bound in enumerate(_axis_pair_bounds(shape1, shape2, axis, zetas)):
+            if bound is not None and bound.valid:
+                bound_sq[i].append(bound.value**2)
+        if variant == "hyperplane":
+            # parallel hyperplanes <z, axis> = +/- zeta/2 are disjoint
+            preproj += gaps > 0.0
+        else:
+            preproj += decide(0.5 * axis, shape1, shape2, gaps) == DISJOINT
+        half = 0.5 * (matrix @ axis)
+        image1, image2 = matrix @ shape1, matrix @ shape2
+        # each gap's least disjoint index of ms lies in [lo, hi]; len(ms): none
+        lo = np.zeros(len(zetas), dtype=np.int64)
+        hi = np.full(len(zetas), len(ms))
+        while np.any(lo < hi):
+            widest = int(np.argmax(hi - lo))
+            mid = (lo[widest] + hi[widest] - 1) // 2
+            probed = np.flatnonzero((lo <= mid) & (mid < hi))
+            m = ms[mid]
+            states = decide(half[:m], image1[:m], image2[:m], gaps[probed])
+            disjoint = states == DISJOINT
+            hi[probed[disjoint]] = mid
+            lo[probed[~disjoint]] = mid + 1
+            indet[probed, mid] += states == INDETERMINATE
+        successes += np.arange(len(ms)) >= lo[:, None]
+        least_counts[np.arange(len(zetas)), lo] += 1
     meta = _base_meta(kind, n, seed, trials)
     meta.update(
         {
             "variant": variant,
-            "preprojection_disjoint": preproj,
+            "preprojection_disjoint": preproj.tolist(),
             "mean_sq_bound": [sum(b) / len(b) if b else None for b in bound_sq],
+            "m_star": _m_star_summary(ms, least_counts),
+            "decisions": decisions,
         }
     )
     return PhaseGrid(
@@ -258,6 +283,28 @@ def run_ellipsoid_phase(
         indeterminate=indet,
         meta=meta,
     )
+
+
+def _m_star_summary(ms: tuple[int, ...], least_counts: np.ndarray) -> dict:
+    """Per gap: mean and standard error of ``M*`` over the trials that have one,
+    its histogram over ``ms``, and the count of trials that have none."""
+    values = np.array(ms, dtype=float)
+    means, errors = [], []
+    for counts in least_counts[:, :-1]:
+        k = int(counts.sum())
+        mean = float(counts @ values) / k if k else None
+        means.append(mean)
+        if k < 2:
+            errors.append(None)
+            continue
+        variance = float(counts @ (values - mean) ** 2) / (k - 1)
+        errors.append(math.sqrt(variance / k))
+    return {
+        "mean": means,
+        "std_error": errors,
+        "histogram": least_counts[:, :-1].tolist(),
+        "none": least_counts[:, -1].tolist(),
+    }
 
 
 def _base_meta(kind: str, n: int, seed: int, trials: int) -> dict:

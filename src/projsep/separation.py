@@ -6,9 +6,12 @@ the outer ellipsoids ``{z : z' (S1/(1-s) + S2/s)^-1 z <= 1}`` over ``s`` in
 (0, 1) (Kurzhanski and Valyi, 1997). Whitening ``S1 + S2`` on its range
 turns that into one concave function of ``s`` (Gilitschenski and Hanebeck,
 2012): the bodies are disjoint iff ``f(s) = sum_i v_i^2 s(1-s) / (mu_i s +
-(1-mu_i)(1-s))`` exceeds 1 somewhere on [0, 1]. Every verdict is checked
-before it is returned. ``min_norm_point`` keeps the conditional-gradient
-minimum-norm point of ``E1 - E2`` for distances.
+(1-mu_i)(1-s))`` exceeds 1 somewhere on [0, 1]. Scaling both centres by
+t scales the ``v_i`` by t and f by ``t**2``, so one whitening and one
+maximization decide the pair at every such scale; the ellipsoid sweep
+decides all its center gaps at one projected dimension that way. Every
+verdict is checked before it is returned. ``min_norm_point`` keeps the
+conditional-gradient minimum-norm point of ``E1 - E2`` for distances.
 """
 
 from __future__ import annotations
@@ -193,52 +196,39 @@ def dual_cone_margin(w, e1: Ellipsoid | Ball, e2: Ellipsoid | Ball) -> float:
         raise ValueError("direction dimension does not match the bodies")
     if float(np.linalg.norm(w)) == 0.0:
         raise ValueError("direction must be nonzero")
-    return _margin(w, e2.center - e1.center, e1.shape, e2.shape)
+    reach1, reach2 = (float(np.linalg.norm(e.shape.T @ w)) for e in (e1, e2))
+    return float(w @ (e2.center - e1.center)) - reach1 - reach2
 
 
-def _margin(w: np.ndarray, d: np.ndarray, b1: np.ndarray, b2: np.ndarray) -> float:
-    return float(w @ d) - float(np.linalg.norm(b1.T @ w)) - float(np.linalg.norm(b2.T @ w))
+def _rounding_slack(d: np.ndarray, b1: np.ndarray, b2: np.ndarray, factors) -> list[float]:
+    """Bounds on the rounding error of ``t <w, d> - r ||B1'w|| - r ||B2'w||``.
 
+    One bound per factor pair ``(t, r)``, each valid for every unit ``w``.
+    A pair of a scaled family, divided by its own power of two, has centres
+    t times the family's, whose difference d is rounded from ``c2 - c1``,
+    and shapes r times ``B1`` and ``B2``, where r is a power of two, so the
+    products by r are exact; a single pair has ``t = r = 1``. A length-n
+    dot product errs by at most ``n u |x|'|y|`` (``u = 2**-53``, to first
+    order), whatever the order of summation, and for a unit w, ``|w|'|d|
+    <= ||d||`` and ``|| |B|'|w| || <= ||B||_F``. With ``size = t ||d|| + r
+    ||B1||_F + r ||B2||_F`` and r' the larger column count, the first-order
+    errors, in units of u, are:
 
-def _rounding_slack(d: np.ndarray, b1: np.ndarray, b2: np.ndarray) -> float:
-    """Bound on the rounding error of ``_margin(w, d, b1, b2)`` for every unit ``w``.
+    - ``n + 2`` times ``t ||d||`` for ``t <w, d>``: n for the dot product,
+      one for rounding d and one for the product by t (exact when t is a
+      power of two);
+    - ``n + r'/2 + 1`` times ``r ||B||_F`` for each norm: n for the entries
+      of ``B'w``, r'/2 for the sum of r' squares and one for the square root;
+    - at most ``size`` for each of the two subtractions, which are exact
+      when r' = 0, since both norms are then 0.
 
-    ``d`` is rounded from ``c2 - c1``. A length-n dot product errs by at
-    most ``n u |x|'|y|`` (``u = 2**-53``, to first order), whatever the
-    order of summation, and for a unit w, ``|w|'|d| <= ||d||`` and
-    ``|| |B|'|w| || <= ||B||_F``. Rounding ``d`` and the two subtractions
-    add ``3 u`` to the ``<w, d>`` term; the r squares summed and the square
-    root of each norm add ``(r + 1) u``, and the subtractions ``2 u``. So
-    ``kappa = n + r + 4`` covers every term, with one ``u`` to spare for
-    the second-order ones.
+    So the ``t ||d||`` term needs at most ``n + 4`` (``n + 2`` when r' = 0)
+    and the norm terms ``n + r'/2 + 3``, and ``kappa = n + r' + 4`` covers
+    every term with at least one u to spare for the second-order ones.
     """
     kappa = d.size + max(b1.shape[1], b2.shape[1]) + 4
-    size = float(np.linalg.norm(d)) + float(np.linalg.norm(b1)) + float(np.linalg.norm(b2))
-    return math.ldexp(kappa * size, -53)
-
-
-def _certified(direction, d, b1, b2, slack: float, evaluations: int, exp: int):
-    """Disjoint with the unit direction as certificate, if its margin exceeds ``slack``.
-
-    ``d = c2 - c1``, ``b1`` and ``b2`` are in units of ``2**exp``; the returned
-    margin is not. A margin within ``_rounding_slack`` of zero proves nothing,
-    so the pair goes on to the witness path, where touching bodies intersect.
-    """
-    length = float(np.linalg.norm(direction))
-    if not length > 0.0:
-        return None
-    w = direction / length
-    margin = _margin(w, d, b1, b2)
-    if not margin > slack:
-        return None
-    along = float(w @ d)
-    return SeparationVerdict(
-        state=DISJOINT,
-        margin=math.ldexp(margin, exp),
-        norm=along / (along - margin) if along > margin else math.inf,
-        iterations=evaluations,
-        certificate=w,
-    )
+    gap, fro1, fro2 = (float(np.linalg.norm(a)) for a in (d, b1, b2))
+    return [math.ldexp(kappa * (t * gap + r * fro1 + r * fro2), -53) for t, r in factors]
 
 
 def _weights(mu: np.ndarray, s: float) -> tuple[np.ndarray, np.ndarray]:
@@ -264,22 +254,24 @@ def _maximize(mu: np.ndarray, v2: np.ndarray, level: float) -> tuple[float, floa
     the Newton step no longer moves ``s``, or the bracket holds no float.
     """
     flat1, flat2 = mu == 0.0, mu == 1.0
-    if np.sum(v2[~flat2] / (1.0 - mu[~flat2])) <= np.sum(v2[flat2]):
-        return 0.0, float(np.sum(v2[flat2])), 1
-    if np.sum(v2[~flat1] / mu[~flat1]) <= np.sum(v2[flat1]):
-        return 1.0, float(np.sum(v2[flat1])), 1
+    if (v2[~flat2] / (1.0 - mu[~flat2])).sum() <= v2[flat2].sum():
+        return 0.0, float(v2[flat2].sum()), 1
+    if (v2[~flat1] / mu[~flat1]).sum() <= v2[flat1].sum():
+        return 1.0, float(v2[flat1].sum()), 1
+    rest = 1.0 - mu
+    spread = v2 * mu * rest
     lo, hi, s = 0.0, 1.0, 0.5
     for evaluations in count(1):
-        den = mu * s + (1.0 - mu) * (1.0 - s)
-        f = s * (1.0 - s) * float(np.sum(v2 / den))
-        slope = float(np.sum(v2 * ((1.0 - mu) * (1.0 - s) ** 2 - mu * s * s) / den**2))
+        den = mu * s + rest * (1.0 - s)
+        f = s * (1.0 - s) * float((v2 / den).sum())
+        slope = float((v2 * (rest * (1.0 - s) ** 2 - mu * s * s) / den**2).sum())
         if f > level or slope == 0.0:
             return s, f, evaluations
         if slope > 0.0:
             lo = s
         else:
             hi = s
-        curvature = -2.0 * float(np.sum(v2 * mu * (1.0 - mu) / den**3))
+        curvature = -2.0 * float((spread / den**3).sum())
         step = s - slope / curvature if curvature < 0.0 else 0.5 * (lo + hi)
         if step == s:
             return s, f, evaluations
@@ -287,6 +279,134 @@ def _maximize(mu: np.ndarray, v2: np.ndarray, level: float) -> tuple[float, floa
         if not lo < following < hi:
             return s, f, evaluations
         s = following
+
+
+def _decide_scaled(c1, c2, b1, b2, scales) -> tuple[list[SeparationVerdict], bool]:
+    """Decide the pairs ``(t c1, t c2, B1, B2)`` for several scales ``t >= 0`` at once.
+
+    Scaling both centres by t scales d and its whitened coordinates by t,
+    so ``f_t(s) = t**2 f_1(s)``, and the pair at scale t is disjoint iff
+    ``max f_1 > 1 / t**2``. One decomposition of ``[B1 B2]`` and one
+    maximization of ``f_1``, which stops once ``f_1`` exceeds ``1 /
+    t_min**2`` for the least scale still open, serve every scale. A
+    direction w certifies each scale whose margin ``t <w, d> - ||B1'w|| -
+    ||B2'w||`` exceeds that scale's ``_rounding_slack``, and the witness at
+    the maximizer is ``(t x_1, t y_1)``, checked for each scale on its own
+    pair. Each pair is judged divided by its own power of two, as
+    ``decide_disjoint`` divides a pair, so no scale's norms leave the range
+    of doubles. The products ``t c`` count as exact. With the single scale
+    1, this is ``decide_disjoint``.
+
+    Returns one verdict per scale, in order, and whether ``[B1 B2]`` was
+    decomposed, which it is unless the centre line certifies every scale.
+    """
+    scales = [float(t) for t in scales]
+    if not all(0.0 <= t < math.inf for t in scales):
+        raise ValueError("scales must be finite and >= 0")
+    reach_c, reach_b = (
+        max(float(np.abs(a).max(initial=0.0)) for a in pair) for pair in ((c1, c2), (b1, b2))
+    )
+    if not max(scales, default=0.0) * reach_c < math.inf:
+        raise ValueError("scaled centres overflow")
+    # the centres in units of 2**shift and the shapes in units of 2**base;
+    # the pair at scale t divided by its 2**exp (see binary_exponent) is then
+    # (tc c1, tc c2, r B1, r B2), with r a power of two, and its f is
+    # ratio**2 = (tc / r)**2 times the f of (c1, c2, B1, B2)
+    shift, base = math.frexp(reach_c)[1], math.frexp(reach_b)[1]
+    c1, c2 = np.ldexp(c1, -shift), np.ldexp(c2, -shift)
+    b1, b2 = np.ldexp(b1, -base), np.ldexp(b2, -base)
+    exps = [math.frexp(max(t * reach_c, reach_b))[1] for t in scales]
+    tcs = [math.ldexp(t, shift - exp) for t, exp in zip(scales, exps)]
+    rs = [math.ldexp(1.0, base - exp) for exp in exps]
+    ratios = [math.ldexp(t, shift - base) for t in scales]
+    d = c2 - c1
+    slacks = _rounding_slack(d, b1, b2, zip(tcs, rs))
+    verdicts: list[SeparationVerdict | None] = [None] * len(scales)
+
+    def certify(direction: np.ndarray, candidates, evaluations: int) -> list[int]:
+        """Disjoint, with the unit direction as certificate, for each candidate
+        scale whose margin exceeds its slack; returns the scales still open.
+
+        A margin within ``_rounding_slack`` of zero proves nothing, so those
+        scales go on to the witness path, where touching bodies intersect.
+        """
+        length = float(np.linalg.norm(direction))
+        if not length > 0.0:
+            return list(candidates)
+        w = direction / length
+        along = float(w @ d)
+        reach1, reach2 = (float(np.linalg.norm(b.T @ w)) for b in (b1, b2))
+        left = []
+        for i in candidates:
+            scaled = tcs[i] * along
+            margin = scaled - rs[i] * reach1 - rs[i] * reach2
+            if margin > slacks[i]:
+                verdicts[i] = SeparationVerdict(
+                    state=DISJOINT,
+                    margin=math.ldexp(margin, exps[i]),
+                    norm=scaled / (scaled - margin) if scaled > margin else math.inf,
+                    iterations=evaluations,
+                    certificate=w,
+                )
+            else:
+                left.append(i)
+        return left
+
+    undecided = certify(d, range(len(scales)), 0)
+    if not undecided:
+        return verdicts, False
+    # [B1 B2] = U diag(sigma) [P1 P2] whitens S1 + S2 = U diag(sigma^2) U' on
+    # its range without squaring its condition number, as eigh(S1 + S2) would
+    both = np.hstack((b1, b2))
+    basis, sigma, rows = np.linalg.svd(both, full_matrices=False)
+    rank = int(np.sum(sigma > sigma[:1] * max(both.shape) * np.finfo(float).eps))
+    basis, sigma, rows = basis[:, :rank], sigma[:rank], rows[:rank]
+    undecided = certify(d - basis @ (basis.T @ d), undecided, 0)
+    if not undecided:
+        return verdicts, True
+    p1, p2 = rows[:, : b1.shape[1]], rows[:, b1.shape[1] :]
+    mu, rotation = np.linalg.eigh(p1 @ p1.T)
+    mu = np.where(mu < FLAT_TOL, 0.0, np.where(mu > 1.0 - FLAT_TOL, 1.0, mu))
+    coords = rotation.T @ ((basis.T @ d) / sigma)
+    least = min(ratios[i] for i in undecided) ** 2
+    level = 1.0 / least if least > 0.0 else math.inf
+    s, f, evaluations = _maximize(mu, coords**2, level)
+    beyond = [i for i in undecided if ratios[i] * ratios[i] * f > 1.0]
+    if beyond:
+        a, b = _weights(mu, s)
+        # s (1 - s) / den, which is 1 - s where body 2 is flat
+        weight = np.where(mu == 1.0, (1.0 - s) * a, s * b)
+        lam = basis @ ((rotation @ (weight * coords)) / sigma)
+        certify(lam, beyond, evaluations)
+        undecided = [i for i in undecided if verdicts[i] is None]
+        if not undecided:
+            return verdicts, True
+    if f > level:
+        # touching up to rounding: only the maximizer itself gives a witness
+        # with ||x|| = ||y|| = sqrt(max f), not the first s with f > level
+        s, f, more = _maximize(mu, coords**2, math.inf)
+        evaluations += more
+    a, b = _weights(mu, s)
+    x1 = p1.T @ (rotation @ (a * coords))
+    y1 = -(p2.T @ (rotation @ (b * coords)))
+    length1, length2, fro1, fro2, reach1, reach2 = (
+        float(np.linalg.norm(v)) for v in (c1, c2, b1, b2, x1, y1)
+    )
+    for i in undecided:
+        tc, r, ratio = tcs[i], rs[i], ratios[i]
+        x, y = ratio * x1, ratio * y1
+        size = max(tc * length1, tc * length2, r * fro1, r * fro2)
+        residual = float(np.linalg.norm(tc * c1 + r * (b1 @ x) - tc * c2 - r * (b2 @ y)))
+        reach = ratio * max(reach1, reach2)
+        witnessed = reach <= 1.0 + WITNESS_TOL and residual <= WITNESS_TOL * size
+        verdicts[i] = SeparationVerdict(
+            state=INTERSECTING if witnessed else INDETERMINATE,
+            margin=0.0,
+            norm=ratio * math.sqrt(f),
+            iterations=evaluations,
+            witness=(x, y) if witnessed else None,
+        )
+    return verdicts, True
 
 
 def decide_disjoint(e1: Ellipsoid | Ball, e2: Ellipsoid | Ball) -> SeparationVerdict:
@@ -307,53 +427,7 @@ def decide_disjoint(e1: Ellipsoid | Ball, e2: Ellipsoid | Ball) -> SeparationVer
     the pair's scale.
     """
     e1, e2 = _pair(e1, e2)
-    exp = binary_exponent(e1.center, e2.center, e1.shape, e2.shape)
-    c1, c2, b1, b2 = (np.ldexp(a, -exp) for a in (e1.center, e2.center, e1.shape, e2.shape))
-    d = c2 - c1
-    slack = _rounding_slack(d, b1, b2)
-    verdict = _certified(d, d, b1, b2, slack, 0, exp)
-    if verdict is not None:
-        return verdict
-    # [B1 B2] = U diag(sigma) [P1 P2] whitens S1 + S2 = U diag(sigma^2) U' on
-    # its range without squaring its condition number, as eigh(S1 + S2) would
-    both = np.hstack((b1, b2))
-    basis, sigma, rows = np.linalg.svd(both, full_matrices=False)
-    rank = int(np.sum(sigma > sigma[:1] * max(both.shape) * np.finfo(float).eps))
-    basis, sigma, rows = basis[:, :rank], sigma[:rank], rows[:rank]
-    verdict = _certified(d - basis @ (basis.T @ d), d, b1, b2, slack, 0, exp)
-    if verdict is not None:
-        return verdict
-    p1, p2 = rows[:, : b1.shape[1]], rows[:, b1.shape[1] :]
-    mu, rotation = np.linalg.eigh(p1 @ p1.T)
-    mu = np.where(mu < FLAT_TOL, 0.0, np.where(mu > 1.0 - FLAT_TOL, 1.0, mu))
-    coords = rotation.T @ ((basis.T @ d) / sigma)
-    s, f, evaluations = _maximize(mu, coords**2, 1.0)
-    if f > 1.0:
-        a, b = _weights(mu, s)
-        # s (1 - s) / den, which is 1 - s where body 2 is flat
-        weight = np.where(mu == 1.0, (1.0 - s) * a, s * b)
-        lam = basis @ ((rotation @ (weight * coords)) / sigma)
-        verdict = _certified(lam, d, b1, b2, slack, evaluations, exp)
-        if verdict is not None:
-            return verdict
-        # touching up to rounding: only the maximizer itself gives a witness
-        # with ||x|| = ||y|| = sqrt(max f), not the first s with f > 1
-        s, f, more = _maximize(mu, coords**2, math.inf)
-        evaluations += more
-    a, b = _weights(mu, s)
-    x = p1.T @ (rotation @ (a * coords))
-    y = -(p2.T @ (rotation @ (b * coords)))
-    size = max(float(np.linalg.norm(v)) for v in (c1, c2, b1, b2))
-    residual = float(np.linalg.norm(c1 + b1 @ x - c2 - b2 @ y))
-    reach = max(float(np.linalg.norm(x)), float(np.linalg.norm(y)))
-    witnessed = reach <= 1.0 + WITNESS_TOL and residual <= WITNESS_TOL * size
-    return SeparationVerdict(
-        state=INTERSECTING if witnessed else INDETERMINATE,
-        margin=0.0,
-        norm=math.sqrt(f),
-        iterations=evaluations,
-        witness=(x, y) if witnessed else None,
-    )
+    return _decide_scaled(e1.center, e2.center, e1.shape, e2.shape, (1.0,))[0][0]
 
 
 def nullspace_avoids_cone(projection, cone: CircularCone) -> NullspaceCheck:

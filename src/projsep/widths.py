@@ -14,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._rng import substream
-from .bodies import CircularCone, Ellipsoid, binary_exponent
+from .bodies import CircularCone, Ellipsoid, _is_symmetric_psd, binary_exponent
 
 CIRCULAR_CURVE_SQ = "CircularCurveSq"
 ELLIPSOID_THEOREM = "EllipsoidTheorem"
@@ -109,10 +109,33 @@ def width_bound_ellipsoids(e1: Ellipsoid, e2: Ellipsoid) -> WidthBound:
     Otherwise the bound does not apply and ``valid`` is False.
     """
     _, zeta, ae1, ae2 = _center_line(e1, e2)
+    return _theorem_bound(zeta, ae1, ae2, _norm(e1.shape, "fro") + _norm(e2.shape, "fro"))
+
+
+def _theorem_bound(zeta: float, ae1: float, ae2: float, fro: float) -> WidthBound:
+    """``width_bound_ellipsoids`` from the center gap, the axis pulls ``||Ai e||``
+    and ``fro = ||A1||_F + ||A2||_F``."""
     if zeta - ae1 - ae2 <= 0.0:
         return _hypothesis_not_met(ELLIPSOID_THEOREM, zeta, ae1 + ae2)
-    fro = _norm(e1.shape, "fro") + _norm(e2.shape, "fro")
     return WidthBound(value=fro / (zeta - ae1 - ae2) + INV_SQRT_2PI, kind=ELLIPSOID_THEOREM)
+
+
+def _axis_pair_bounds(shape1: np.ndarray, shape2: np.ndarray, axis: np.ndarray, zetas):
+    """``width_bound_ellipsoids`` of the pairs centred at ``+/- zeta axis / 2``, per gap.
+
+    ``axis`` must be a signed standard basis vector: the pair's gap vector
+    is then ``zeta axis`` exactly, its norm ``zeta`` and its unit axis
+    ``axis``, so the shapes are validated and their pulls taken once for
+    every gap. A gap of 0, where the centres coincide, gets None.
+    """
+    if not (_is_symmetric_psd(shape1) and _is_symmetric_psd(shape2)):
+        raise ValueError("pair geometry requires symmetric PSD shape matrices")
+    ae1, ae2 = _norm(shape1 @ axis), _norm(shape2 @ axis)
+    fro = _norm(shape1, "fro") + _norm(shape2, "fro")
+    return [
+        _theorem_bound(zeta, ae1, ae2, fro) if zeta > 0.0 else None
+        for zeta in zetas
+    ]
 
 
 _erfc = np.frompyfunc(math.erfc, 1, 1)

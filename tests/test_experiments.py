@@ -1,11 +1,14 @@
 import csv
 import json
+import math
 import tempfile
 import unittest
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
+from projsep import experiments
 from projsep._rng import substream
 from projsep.bodies import CircularCone, Ellipsoid, make_ellipsoid
 from projsep.experiments import (
@@ -20,7 +23,14 @@ from projsep.experiments import (
     sample_wishart_shape,
     save_phase_grid,
 )
-from projsep.separation import DISJOINT, INDETERMINATE, decide_disjoint, nullspace_avoids_cone
+from projsep.separation import (
+    DISJOINT,
+    INDETERMINATE,
+    _decide_scaled,
+    decide_disjoint,
+    nullspace_avoids_cone,
+)
+from test_separation import assert_checked
 
 
 SEEDS = (0, 1, 2)
@@ -223,6 +233,66 @@ class TestRunEllipsoidPhase(unittest.TestCase):
         np.testing.assert_array_equal(a.successes, b.successes)
         self.assertEqual(int(b.indeterminate.sum()), 0)
         self.assertFalse({"tol", "max_iter"} & set(b.meta))
+
+
+class TestEllipsoidSweepRecord(unittest.TestCase):
+    def test_verdicts_at_the_benchmark_geometry_are_checked(self):
+        # every certificate and witness the joint bisection produced, rechecked
+        # on the pair it decided, and the grid against a scan of every M
+        n, zetas, ms, trials, seed = 40, (100.0, 200.0, 300.0, 400.0), tuple(range(1, 41)), 4, 2024
+        decided = []
+
+        def recording(c1, c2, b1, b2, scales):
+            verdicts, decomposed = _decide_scaled(c1, c2, b1, b2, scales)
+            decided.append((c1, c2, b1, b2, list(scales), verdicts))
+            return verdicts, decomposed
+
+        with mock.patch.object(experiments, "_decide_scaled", recording):
+            grid = run_ellipsoid_phase(n, zetas, ms, trials, seed, variant="hyperplane")
+        for c1, c2, b1, b2, scales, verdicts in decided:
+            for t, verdict in zip(scales, verdicts):
+                assert_checked(self, verdict, make_ellipsoid(t * c1, b1), make_ellipsoid(t * c2, b2))
+        record = grid.meta["decisions"]
+        self.assertEqual(record["calls"], len(decided))
+        self.assertEqual(record["verdicts"], sum(len(entry[-1]) for entry in decided))
+        self.assertLessEqual(record["decompositions"], record["calls"])
+        # the probes are distinct prefixes, so a trial makes at most len(ms) calls
+        self.assertLessEqual(record["calls"], trials * len(ms))
+        self.assertLess(record["calls"], record["verdicts"])
+        disjoint, indeterminate, _ = ellipsoid_reference(n, zetas, ms, trials, seed, "hyperplane")
+        np.testing.assert_array_equal(grid.successes, disjoint)
+        np.testing.assert_array_equal(grid.indeterminate, 0)
+        np.testing.assert_array_equal(indeterminate, 0)
+
+    def test_m_star_summarizes_each_trials_step(self):
+        n, zetas, trials = 8, (0.0, 4.0, 10.0, 25.0), 12
+        ms = tuple(range(1, n + 1))
+        grid = run_ellipsoid_phase(n, zetas, ms, trials, seed=3)
+        record = grid.meta["m_star"]
+        for i in range(len(zetas)):
+            histogram, none = record["histogram"][i], record["none"][i]
+            np.testing.assert_array_equal(np.cumsum(histogram), grid.successes[i])
+            self.assertEqual(sum(histogram) + none, trials)
+            values = np.repeat(ms, histogram)
+            if values.size == 0:
+                self.assertIsNone(record["mean"][i])
+                continue
+            self.assertAlmostEqual(record["mean"][i], values.mean(), places=12)
+            if none == 0:
+                # E M* = sum over M < n of P(M* > M), the failure ratio at M
+                failures = 1.0 + np.sum(1.0 - grid.success_ratio[i, :-1])
+                self.assertAlmostEqual(record["mean"][i], failures, places=12)
+            if values.size > 1:
+                error = values.std(ddof=1) / math.sqrt(values.size)
+                self.assertAlmostEqual(record["std_error"][i], error, places=12)
+        self.assertEqual(record["none"][0], trials)
+        self.assertIsNone(record["mean"][0])
+
+    def test_grid_subset_records_the_least_m_of_the_grid(self):
+        grid = run_ellipsoid_phase(7, (12.0,), (2, 5, 7), 6, seed=1, variant="hyperplane")
+        record = grid.meta["m_star"]
+        np.testing.assert_array_equal(np.cumsum(record["histogram"][0]), grid.successes[0])
+        self.assertEqual(len(record["histogram"][0]), 3)
 
 
 class TestEstimateTransition(unittest.TestCase):

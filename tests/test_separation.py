@@ -19,6 +19,7 @@ from projsep.separation import (
     DISJOINT,
     INDETERMINATE,
     INTERSECTING,
+    _decide_scaled,
     decide_disjoint,
     dual_cone_margin,
     min_norm_point,
@@ -541,6 +542,76 @@ class TestProperties(unittest.TestCase):
             other = decide_disjoint(f1, f2)
             assert_checked(self, other, f1, f2)
             self.assertEqual(other.state, verdict.state, name)
+
+
+# dyadic scales: t times an entry of body_pairs() is exact, so the pair built
+# from the floats t * c is the pair that the family decides
+FAMILY_SCALES = (0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 8.0)
+
+
+class TestScaledFamily(unittest.TestCase):
+    """One decomposition decides the pairs (t c1, t c2, B1, B2) for every scale t."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(body_pairs(), st.lists(st.sampled_from(FAMILY_SCALES), min_size=1, max_size=4))
+    # f_1 passes 1 / 1**2 on the way to its maximum, which exceeds 1 / 0.5**2:
+    # a search that stopped at the larger scale's level would leave the
+    # smaller scale without a certificate
+    @example(
+        (make_ellipsoid([-2.3125, -2.9375, -0.875],
+                        [[-0.5625, 2.0625], [-0.625, -0.75], [-1.625, -1.8125]]),
+         make_ellipsoid([-1.0625, -1.1875, 0.9375],
+                        [[2.25, -2.375, -2.625], [-0.375, 0.3125, 0.375], [2.75, 2.25, -2.125]]),
+         0),
+        [0.5, 1.0],
+    )
+    def test_each_scale_agrees_with_its_own_decision(self, pair, scales):
+        e1, e2, _ = pair
+        verdicts, _ = _decide_scaled(e1.center, e2.center, e1.shape, e2.shape, scales)
+        self.assertEqual(len(verdicts), len(scales))
+        for t, verdict in zip(scales, verdicts):
+            f1, f2 = (make_ellipsoid(t * e.center, e.shape) for e in (e1, e2))
+            self.assertEqual(verdict.state, decide_disjoint(f1, f2).state, t)
+            assert_checked(self, verdict, f1, f2)
+            if verdict.state == DISJOINT:
+                self.assertTrue(exactly_separates(verdict.certificate, f1, f2))
+
+    def test_scales_on_both_sides_of_touching(self):
+        # unit balls 4 apart touch when the centres are scaled by 1/2
+        b1, b2 = ball([0.0, 0.0, 0.0], 1.0), ball([4.0, 0.0, 0.0], 1.0)
+        scales = (0.25, 0.5, 1.0, 2.0)
+        verdicts, decomposed = _decide_scaled(b1.center, b2.center, b1.shape, b2.shape, scales)
+        states = [v.state for v in verdicts]
+        self.assertEqual(states, [INTERSECTING, INTERSECTING, DISJOINT, DISJOINT])
+        self.assertTrue(decomposed)
+        for t, verdict in zip(scales, verdicts):
+            assert_checked(self, verdict, ball(t * b1.center, 1.0), ball(t * b2.center, 1.0))
+        self.assertAlmostEqual(verdicts[1].norm, 1.0, places=12)
+        self.assertAlmostEqual(verdicts[3].margin, 6.0, places=12)
+
+    def test_scales_far_apart_are_each_judged_in_range(self):
+        # divided by the largest scale's power of two, the shapes of the pair
+        # at scale 0.25 would be 1e-250 and their squared norms would vanish
+        b1, b2 = ball([0.0, 0.0, 0.0], 1.0), ball([4.0, 0.0, 0.0], 1.0)
+        scales = (0.0, 1e-300, 0.25, 1.0, 1e250)
+        verdicts, _ = _decide_scaled(b1.center, b2.center, b1.shape, b2.shape, scales)
+        states = [v.state for v in verdicts]
+        self.assertEqual(states, [INTERSECTING] * 3 + [DISJOINT] * 2)
+        for t, verdict in zip(scales, verdicts):
+            f1, f2 = ball(t * b1.center, 1.0), ball(t * b2.center, 1.0)
+            self.assertEqual(verdict.state, decide_disjoint(f1, f2).state, t)
+            assert_checked(self, verdict, f1, f2)
+        # in units of the larger pair, the smaller pair of points would coincide
+        points = np.zeros((2, 0))
+        verdicts, _ = _decide_scaled(np.zeros(2), np.ones(2), points, points, (1e-300, 1e300))
+        self.assertEqual([v.state for v in verdicts], [DISJOINT, DISJOINT])
+        self.assertAlmostEqual(verdicts[0].margin / 1e-300, np.sqrt(2.0), places=12)
+
+    def test_centre_line_alone_needs_no_decomposition(self):
+        b1, b2 = ball([0.0, 0.0], 1.0), ball([4.0, 0.0], 1.0)
+        verdicts, decomposed = _decide_scaled(b1.center, b2.center, b1.shape, b2.shape, (1.0, 3.0))
+        self.assertEqual([v.state for v in verdicts], [DISJOINT, DISJOINT])
+        self.assertFalse(decomposed)
 
 
 def scale_pairs(s):

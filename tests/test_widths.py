@@ -12,7 +12,7 @@ from projsep.widths import (
     mc_width_pseudoprojection,
     width_bound_ellipsoids,
 )
-from projsep.widths import _positive_part_expectation_vec
+from projsep.widths import _axis_pair_bounds, _positive_part_expectation_vec
 
 
 def positive_part_expectation(a):
@@ -101,6 +101,29 @@ class TestWidthBoundEllipsoids(unittest.TestCase):
             width_bound_ellipsoids(r1, r2).value,
             places=9,
         )
+
+
+class TestAxisPairBounds(unittest.TestCase):
+    def test_equals_the_bound_of_each_pair(self):
+        # one set of norms per shape pair gives width_bound_ellipsoids bit for bit
+        from projsep.experiments import sample_wishart_shape
+
+        rng = np.random.default_rng(21)
+        n, zetas = 9, (0.0, 0.5, 3.0, 40.0, 100.0, 400.0)
+        for axis in (np.eye(n)[0], -np.eye(n)[4]):
+            for constrained in (None, axis):
+                shapes = [sample_wishart_shape(n, rng, constrained) for _ in range(2)]
+                bounds = _axis_pair_bounds(*shapes, axis, zetas)
+                self.assertIsNone(bounds[0])
+                for zeta, bound in zip(zetas[1:], bounds[1:]):
+                    pair = (make_ellipsoid(0.5 * zeta * axis, shapes[0]),
+                            make_ellipsoid(-0.5 * zeta * axis, shapes[1]))
+                    self.assertEqual(bound, width_bound_ellipsoids(*pair), zeta)
+                self.assertTrue(any(b.valid for b in bounds[1:]))
+
+    def test_shapes_are_validated(self):
+        with self.assertRaisesRegex(ValueError, "symmetric PSD"):
+            _axis_pair_bounds(np.eye(3), -np.eye(3), np.eye(3)[0], (1.0,))
 
 
 def scale_pairs(s):
