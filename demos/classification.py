@@ -5,7 +5,7 @@ Builds five disjoint ellipsoid classes in R^200, plans a projection
 dimension from their geometry, then trains the same softmax classifier
 on raw features, on the planned random projection, and on a matching
 principal subspace. The planned projection keeps the error of the raw
-run at a tenth of the training cost.
+run.
 """
 
 import math

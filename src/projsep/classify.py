@@ -212,8 +212,12 @@ def train_mlr(
 
     Features are standardized on training statistics (stored in the
     model); the bias column is excluded from the L2 penalty. Training
-    stops when the gradient norm falls to ``tol`` or after ``max_iters``
-    accepted steps. The loss trace is non-increasing. Logits are linear
+    stops at the first of three events: the gradient norm falls to
+    ``tol`` (``converged``); ``max_iters`` steps have been accepted; or
+    the line search fails, because 60 halvings found no acceptable step
+    or because the decrease the Armijo test demands rounds away
+    (``loss - c t |g|^2 == loss``), so the loss has reached its rounding
+    floor. The loss trace is non-increasing. Logits are linear
     in the weights, so each step forms the gradient ``g`` and its logits
     ``g X`` once, and a trial step ``t`` costs only the loss of ``Z - t g X``.
     """
@@ -251,15 +255,19 @@ def train_mlr(
         along = grad @ design
         step = min(step * 2.0, 1e6)
         for _ in range(60):
+            demanded = loss - ARMIJO_SLOPE * step * grad_sq
+            if not demanded < loss:
+                # below half an ulp of the loss: no step can make progress
+                break
             candidate = weights - step * grad
             trial = logits - step * along
             new_loss, exp, total = _cross_entropy(trial, picked)
             new_loss += 0.5 * l2 * float((candidate[:, :-1] ** 2).sum())
-            if new_loss <= loss - ARMIJO_SLOPE * step * grad_sq:
+            if new_loss <= demanded:
                 break
             step *= 0.5
-        else:
-            break
+        if not (demanded < loss and new_loss <= demanded):
+            break  # the line search failed
         weights, logits, loss = candidate, trial, new_loss
         trace.append(loss)
     return MlrModel(

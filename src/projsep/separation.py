@@ -60,8 +60,9 @@ class SeparationVerdict:
     rounding. Touching bodies count as Intersecting. ``norm`` is the factor
     by which both bodies, scaled about their centres, touch: ``sqrt(max f)`` for
     Intersecting, and for Disjoint the lower bound ``<w, d> / (||B1'w|| +
-    ||B2'w||)`` that the certificate w proves (None in ``to_dict`` when
-    infinite). ``iterations`` counts evaluations of f.
+    ||B2'w||)`` that the certificate w proves. A margin above the largest
+    double is ``inf``; ``to_dict`` writes an infinite margin or norm as
+    None. ``iterations`` counts evaluations of f.
     """
 
     state: str
@@ -74,7 +75,7 @@ class SeparationVerdict:
     def to_dict(self) -> dict:
         return {
             "state": self.state,
-            "margin": self.margin,
+            "margin": self.margin if math.isfinite(self.margin) else None,
             "norm": self.norm if math.isfinite(self.norm) else None,
             "iterations": self.iterations,
             "certificate": None if self.certificate is None else self.certificate.tolist(),
@@ -341,9 +342,13 @@ def _decide_scaled(c1, c2, b1, b2, scales) -> tuple[list[SeparationVerdict], boo
             scaled = tcs[i] * along
             margin = scaled - rs[i] * reach1 - rs[i] * reach2
             if margin > slacks[i]:
+                try:
+                    unscaled = math.ldexp(margin, exps[i])
+                except OverflowError:
+                    unscaled = math.inf
                 verdicts[i] = SeparationVerdict(
                     state=DISJOINT,
-                    margin=math.ldexp(margin, exps[i]),
+                    margin=unscaled,
                     norm=scaled / (scaled - margin) if scaled > margin else math.inf,
                     iterations=evaluations,
                     certificate=w,

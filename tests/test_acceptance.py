@@ -373,8 +373,8 @@ class TestAcceptance(unittest.TestCase):
         data = Dataset(
             np.vstack(blocks), np.repeat(np.arange(classes), per_class)
         )
-        # tol=0 pins the iteration count, so the wall-clock comparison
-        # reflects per-step cost rather than stopping noise
+        # with tol=0 each run stops at max_iters or at its loss's rounding
+        # floor; M=200 takes both more steps and dearer ones than M=20
         reports = run_pipeline(
             data,
             0.5,

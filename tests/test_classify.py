@@ -167,6 +167,16 @@ class TestTrainMlr(unittest.TestCase):
         with self.assertRaises(ValueError):
             train_mlr(data)
 
+    def test_rounding_floor_stop_only_truncates(self):
+        data = two_ball_dataset(samples=100)
+        model = train_mlr(data, max_iters=2000, tol=0.0)
+        k = len(model.loss_trace) - 1
+        self.assertLess(k, 2000)
+        self.assertFalse(model.converged)
+        capped = train_mlr(data, max_iters=k, tol=0.0)
+        np.testing.assert_array_equal(capped.weights, model.weights)
+        self.assertEqual(capped.loss_trace, model.loss_trace)
+
     def test_predict_labels_in_range(self):
         data = two_ball_dataset(samples=60)
         model = train_mlr(data, max_iters=100)
@@ -199,7 +209,11 @@ def referee_loss_grad(design, onehot, weights, l2):
 
 
 def referee_train(design, onehot, l2, max_iters):
-    """Armijo gradient descent that evaluates loss and gradient at every trial."""
+    """Armijo gradient descent that evaluates loss and gradient at every trial.
+
+    It has no rounding-floor stop, so it runs past the step where
+    ``train_mlr`` stops, showing what those extra steps would have gained.
+    """
     weights = np.zeros((onehot.shape[1], design.shape[1]))
     loss, grad = referee_loss_grad(design, onehot, weights, l2)
     trace = [loss]
@@ -228,9 +242,11 @@ class TestTrainMlrReferee(unittest.TestCase):
         design = referee_design(data)
         onehot = np.eye(data.n_classes)[data.labels]
         weights, trace = referee_train(design, onehot, DEFAULT_L2, steps)
-        self.assertEqual(len(model.loss_trace), steps + 1)
-        self.assertEqual(len(model.loss_trace), len(trace))
-        np.testing.assert_allclose(model.loss_trace, trace, rtol=1e-10)
+        k = len(model.loss_trace) - 1
+        self.assertLessEqual(k, steps)
+        np.testing.assert_allclose(model.loss_trace, trace[: k + 1], rtol=1e-10)
+        # the steps skipped at the rounding floor gain next to nothing
+        self.assertGreaterEqual(trace[-1], model.loss_trace[-1] * (1.0 - 1e-12))
         np.testing.assert_array_equal(
             predict(model, data.features), np.argmax(design @ weights.T, axis=1)
         )

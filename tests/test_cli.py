@@ -24,6 +24,11 @@ def run_cli(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def strict_json_constant(name):
+    """``parse_constant`` hook that rejects ``Infinity`` and ``NaN``, which JSON lacks."""
+    raise ValueError(f"invalid JSON constant {name}")
+
+
 def write_pair(tmp, zeta, radius=1.0, n=100):
     c1 = [0.0] * n
     c2 = [0.0] * n
@@ -129,6 +134,33 @@ class TestExtremeScales(unittest.TestCase):
         self.assertEqual(reference["apart", "separate"], "Disjoint")
         for s in (1e-200, 1e-160, 1e160, 1e200):
             self.assertEqual(self.outcomes(s), reference, f"scale {s}")
+
+    def test_margin_beyond_double_range(self):
+        # the margin, about 2e308, is not a double: Disjoint with margin null
+        with tempfile.TemporaryDirectory() as tmp:
+            code, text, _ = self.run_pair(
+                tmp, "separate",
+                {"center": [-1e308, 0.0], "radius": 1.0},
+                {"center": [1e308, 0.0], "radius": 1.0},
+            )
+        self.assertEqual(code, 0)
+        payload = json.loads(text, parse_constant=strict_json_constant)
+        self.assertEqual(payload["state"], "Disjoint")
+        self.assertIsNone(payload["margin"])
+        self.assertEqual(payload["certificate"], [1.0, 0.0])
+
+    def test_sweep_gap_near_double_range(self):
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "grid.csv"
+            code, _, _ = run_cli(["ellipsoid-phase", "--n", "5", "--grid", "1e308",
+                                  "--trials", "2", "--seed", "1", "--out", str(out)])
+            self.assertEqual(code, 0)
+            rows = out.read_text().splitlines()[1:]
+            meta = json.loads(out.with_suffix(".meta.json").read_text(),
+                              parse_constant=strict_json_constant)
+        self.assertEqual([row.split(",")[1:] for row in rows],
+                         [[str(m), "2", "2", "0"] for m in range(1, 6)])
+        self.assertEqual(meta["preprojection_disjoint"], [2])
 
 
 class TestGridRanges(unittest.TestCase):
