@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from projsep import make_ellipsoid, plan_multiclass
+from projsep import Ellipsoid, plan_multiclass
 from projsep.classify import Dataset, run_pipeline
 
 
@@ -24,7 +24,7 @@ def build_mixture(n=200, per_class=200, classes=5, seed=42):
         center[k] = 30.0
         a = rng.standard_normal((n, n)) / math.sqrt(n)
         shape = a @ a.T
-        bodies.append(make_ellipsoid(center, shape))
+        bodies.append(Ellipsoid(center, shape))
         x = rng.standard_normal((per_class, n))
         x *= (rng.random(per_class) ** (1.0 / n) / np.linalg.norm(x, axis=1))[:, None]
         blocks.append(center + x @ shape.T)

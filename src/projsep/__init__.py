@@ -15,7 +15,6 @@ from .bodies import (
     Ellipsoid,
     GaussianProjection,
     difference_cone,
-    make_ellipsoid,
     project_body,
     support,
 )
@@ -35,12 +34,10 @@ from .experiments import (
     save_phase_grid,
 )
 from .separation import (
-    MinNormResult,
     NullspaceCheck,
     SeparationVerdict,
     decide_disjoint,
     dual_cone_margin,
-    min_norm_point,
     nullspace_avoids_cone,
 )
 from .widths import (
@@ -58,7 +55,6 @@ __all__ = [
     "Ellipsoid",
     "GaussianProjection",
     "difference_cone",
-    "make_ellipsoid",
     "project_body",
     "support",
     "MultiClassPlan",
@@ -72,12 +68,10 @@ __all__ = [
     "run_ellipsoid_phase",
     "sample_wishart_shape",
     "save_phase_grid",
-    "MinNormResult",
     "NullspaceCheck",
     "SeparationVerdict",
     "decide_disjoint",
     "dual_cone_margin",
-    "min_norm_point",
     "nullspace_avoids_cone",
     "WidthBound",
     "circular_width_sq",

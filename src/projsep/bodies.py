@@ -54,7 +54,11 @@ def _is_symmetric_psd(matrix: np.ndarray) -> bool:
 
 @dataclass(frozen=True)
 class Ellipsoid:
-    """Affine image of the unit ball: ``{center + shape @ x : ||x|| <= 1}``."""
+    """Affine image of the unit ball: ``{center + shape @ x : ||x|| <= 1}``.
+
+    ``center`` is (n,) and ``shape`` (n, k), where k < n makes a flat body;
+    both are converted to float, checked finite and kept as read-only copies.
+    """
 
     center: np.ndarray
     shape: np.ndarray
@@ -163,23 +167,6 @@ class GaussianProjection:
         return matrix
 
 
-def make_ellipsoid(center, shape) -> Ellipsoid:
-    """Validated ellipsoid constructor.
-
-    Parameters
-    ----------
-    center : array_like, shape (n,)
-    shape : array_like, shape (n, k)
-        Columns span the body; ``k`` may be smaller than ``n`` (flat body).
-
-    Returns
-    -------
-    Ellipsoid
-        ``symmetric_psd`` is computed on first read.
-    """
-    return Ellipsoid(np.asarray(center, dtype=float), np.asarray(shape, dtype=float))
-
-
 def support(body: Ellipsoid | Ball, direction) -> tuple[float, np.ndarray]:
     """Support function of the body: max of ``<p, direction>`` over the body.
 
@@ -286,4 +273,4 @@ def ellipsoid_from_dict(data) -> Ellipsoid:
         raise ValueError("ellipsoid needs a numeric center and a radius or shape") from None
     if radius is not None:
         return Ball(center, radius).to_ellipsoid()
-    return make_ellipsoid(center, shape)
+    return Ellipsoid(center, shape)

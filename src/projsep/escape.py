@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .bodies import Ball, Ellipsoid, difference_cone
-from .widths import WidthBound, circular_width_sq, width_bound_ellipsoids
+from .widths import ELLIPSOID_THEOREM, WidthBound, circular_width_sq, width_bound_ellipsoids
 
 
 def required_dim_gordon(width: float, eta: float) -> int:
@@ -123,7 +123,7 @@ def plan_multiclass(ellipsoids: list[Ellipsoid], p: float) -> MultiClassPlan:
             bound = width_bound_ellipsoids(ellipsoids[i], ellipsoids[j])
         except ValueError as exc:
             bound = WidthBound(
-                value=math.inf, kind="EllipsoidTheorem", valid=False, reason=str(exc)
+                value=math.inf, kind=ELLIPSOID_THEOREM, valid=False, reason=str(exc)
             )
         m_required = required_dim_gordon(bound.value, eta) if bound.valid else None
         pairs.append(PairPlan(first=i, second=j, bound=bound, eta=eta, m_required=m_required))

@@ -10,8 +10,7 @@ turns that into one concave function of ``s`` (Gilitschenski and Hanebeck,
 t scales the ``v_i`` by t and f by ``t**2``, so one whitening and one
 maximization decide the pair at every such scale; the ellipsoid sweep
 decides all its center gaps at one projected dimension that way. Every
-verdict is checked before it is returned. ``min_norm_point`` keeps the
-conditional-gradient minimum-norm point of ``E1 - E2`` for distances.
+verdict is checked before it is returned.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from itertools import count
 
 import numpy as np
 
-from .bodies import Ball, CircularCone, Ellipsoid, GaussianProjection, binary_exponent
+from .bodies import Ball, CircularCone, Ellipsoid, GaussianProjection
 
 DISJOINT = "Disjoint"
 INTERSECTING = "Intersecting"
@@ -32,22 +31,6 @@ INDETERMINATE = "Indeterminate"
 WITNESS_TOL = 1e-9
 # whitened extents mu within this of 0 or 1 are rounding: that body is flat there
 FLAT_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class MinNormResult:
-    """Minimum-norm point of the difference set ``E1 - E2`` with witnesses.
-
-    ``point == (c1 - c2) + B1 @ x - B2 @ y`` with ``||x||, ||y|| <= 1``;
-    ``dual_gap`` is the final conditional-gradient gap (zero at optimum).
-    """
-
-    point: np.ndarray
-    norm: float
-    dual_gap: float
-    iterations: int
-    x: np.ndarray
-    y: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -61,8 +44,8 @@ class SeparationVerdict:
     by which both bodies, scaled about their centres, touch: ``sqrt(max f)`` for
     Intersecting, and for Disjoint the lower bound ``<w, d> / (||B1'w|| +
     ||B2'w||)`` that the certificate w proves. A margin above the largest
-    double is ``inf``; ``to_dict`` writes an infinite margin or norm as
-    None. ``iterations`` counts evaluations of f.
+    double is ``inf``, one below the least is 0; ``to_dict`` writes an
+    infinite margin or norm as None. ``iterations`` counts evaluations of f.
     """
 
     state: str
@@ -112,77 +95,6 @@ def _pair(e1: Ellipsoid | Ball, e2: Ellipsoid | Ball) -> tuple[Ellipsoid, Ellips
             f"and {e2.ambient_dim}"
         )
     return e1, e2
-
-
-def min_norm_point(
-    e1: Ellipsoid | Ball,
-    e2: Ellipsoid | Ball,
-    tol: float = 1e-7,
-    max_iter: int | None = None,
-) -> MinNormResult:
-    """Minimum-norm point of ``E1 - E2`` by conditional gradient.
-
-    Each step solves the linear subproblem in closed form (the difference
-    set is a sum of ellipsoids, whose support maps are explicit) and uses
-    the exact quadratic line search, so the norm never increases.
-
-    Parameters
-    ----------
-    e1, e2 : Ellipsoid or Ball
-        Bodies in a common ambient dimension.
-    tol : float
-        Stop once the duality gap ``<z, z - d>`` at the linear minimizer
-        d falls to this fraction of the pair's squared size ``(||c1 - c2||
-        + ||B1||_F + ||B2||_F)^2``, so that scaling both bodies together
-        scales the result and keeps the iteration count, and translating
-        them changes neither.
-    max_iter : int, optional
-        Defaults to 50 times the ambient dimension.
-
-    Returns
-    -------
-    MinNormResult
-        The iterate, its norm, the final gap, the number of gradient
-        evaluations, and the unit-ball witnesses reproducing the point.
-        Running out of iterations returns the iterate after the last step.
-    """
-    e1, e2 = _pair(e1, e2)
-    if tol < 0.0:
-        raise ValueError(f"tol must be >= 0, got {tol!r}")
-    limit = 50 * e1.ambient_dim if max_iter is None else max_iter
-    if limit < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-    c_gap = e1.center - e2.center
-    b1, b2 = e1.shape, e2.shape
-    size = sum(float(np.linalg.norm(a)) for a in (c_gap, b1, b2))
-    z = c_gap.copy()
-    x = np.zeros(b1.shape[1])
-    y = np.zeros(b2.shape[1])
-    for iterations in range(1, limit + 1):
-        b1t_z = b1.T @ z
-        b2t_z = b2.T @ z
-        n1 = float(np.linalg.norm(b1t_z))
-        n2 = float(np.linalg.norm(b2t_z))
-        x_lmo = -b1t_z / n1 if n1 > 0.0 else np.zeros_like(x)
-        y_lmo = b2t_z / n2 if n2 > 0.0 else np.zeros_like(y)
-        d = c_gap + b1 @ x_lmo - b2 @ y_lmo
-        gap = float(z @ (z - d))
-        v = d - z
-        vv = float(v @ v)
-        if gap <= tol * size**2 or vv == 0.0:
-            break
-        gamma = min(gap / vv, 1.0)
-        z = z + gamma * v
-        x = x + gamma * (x_lmo - x)
-        y = y + gamma * (y_lmo - y)
-    return MinNormResult(
-        point=z,
-        norm=float(np.linalg.norm(z)),
-        dual_gap=gap,
-        iterations=iterations,
-        x=x,
-        y=y,
-    )
 
 
 def dual_cone_margin(w, e1: Ellipsoid | Ball, e2: Ellipsoid | Ball) -> float:
@@ -293,10 +205,12 @@ def _decide_scaled(c1, c2, b1, b2, scales) -> tuple[list[SeparationVerdict], boo
     direction w certifies each scale whose margin ``t <w, d> - ||B1'w|| -
     ||B2'w||`` exceeds that scale's ``_rounding_slack``, and the witness at
     the maximizer is ``(t x_1, t y_1)``, checked for each scale on its own
-    pair. Each pair is judged divided by its own power of two, as
-    ``decide_disjoint`` divides a pair, so no scale's norms leave the range
-    of doubles. The products ``t c`` count as exact. With the single scale
-    1, this is ``decide_disjoint``.
+    pair. Only ``d = c2 - c1`` and the shapes enter, and d is formed before
+    anything is scaled, so centres far larger than their gap keep it. Each
+    pair is judged divided by its own power of two, as ``decide_disjoint``
+    divides a pair, so no scale's norms leave the range of doubles. The
+    products ``t d`` count as exact. With the single scale 1, this is
+    ``decide_disjoint``.
 
     Returns one verdict per scale, in order, and whether ``[B1 B2]`` was
     decomposed, which it is unless the centre line certifies every scale.
@@ -309,18 +223,28 @@ def _decide_scaled(c1, c2, b1, b2, scales) -> tuple[list[SeparationVerdict], boo
     )
     if not max(scales, default=0.0) * reach_c < math.inf:
         raise ValueError("scaled centres overflow")
-    # the centres in units of 2**shift and the shapes in units of 2**base;
-    # the pair at scale t divided by its 2**exp (see binary_exponent) is then
-    # (tc c1, tc c2, r B1, r B2), with r a power of two, and its f is
-    # ratio**2 = (tc / r)**2 times the f of (c1, c2, B1, B2)
-    shift, base = math.frexp(reach_c)[1], math.frexp(reach_b)[1]
-    c1, c2 = np.ldexp(c1, -shift), np.ldexp(c2, -shift)
+    # d * 2**half is c2 - c1, halved only where the difference overflows; the
+    # halving then loses bits below 2**-1074, far under the rounding of d
+    if reach_c < 2.0**1023:
+        d, half = c2 - c1, 0
+    else:
+        with np.errstate(over="ignore"):
+            d, half = c2 - c1, 0
+        if not np.isfinite(d).all():
+            d, half = np.ldexp(c2, -1) - np.ldexp(c1, -1), 1
+    # d in units of 2**shift, the shapes in units of 2**base (zero shapes in
+    # the least double's, d = 0 in the shapes'); at scale t the pair divided
+    # by its 2**exp is (tc d, r B1, r B2) up to translation, and its f is
+    # ratio**2 = (tc / r)**2 times that of (d, B1, B2)
+    reach_d = float(np.abs(d).max(initial=0.0))
+    base = math.frexp(reach_b or math.ulp(0.0))[1]
+    shift = math.frexp(reach_d)[1] + half if reach_d > 0.0 else base
+    d = np.ldexp(d, half - shift)
     b1, b2 = np.ldexp(b1, -base), np.ldexp(b2, -base)
-    exps = [math.frexp(max(t * reach_c, reach_b))[1] for t in scales]
+    top = math.ldexp(reach_d, half - shift)
+    exps = [max(shift + math.frexp(t * top)[1], base) if t * top > 0.0 else base for t in scales]
     tcs = [math.ldexp(t, shift - exp) for t, exp in zip(scales, exps)]
     rs = [math.ldexp(1.0, base - exp) for exp in exps]
-    ratios = [math.ldexp(t, shift - base) for t in scales]
-    d = c2 - c1
     slacks = _rounding_slack(d, b1, b2, zip(tcs, rs))
     verdicts: list[SeparationVerdict | None] = [None] * len(scales)
 
@@ -360,6 +284,8 @@ def _decide_scaled(c1, c2, b1, b2, scales) -> tuple[list[SeparationVerdict], boo
     undecided = certify(d, range(len(scales)), 0)
     if not undecided:
         return verdicts, False
+    # a scale still open has t |d| within a small factor of |B|, or d = 0: its ratio is in range
+    ratios = {i: math.ldexp(scales[i], shift - base) for i in undecided}
     # [B1 B2] = U diag(sigma) [P1 P2] whitens S1 + S2 = U diag(sigma^2) U' on
     # its range without squaring its condition number, as eigh(S1 + S2) would
     both = np.hstack((b1, b2))
@@ -373,7 +299,8 @@ def _decide_scaled(c1, c2, b1, b2, scales) -> tuple[list[SeparationVerdict], boo
     mu, rotation = np.linalg.eigh(p1 @ p1.T)
     mu = np.where(mu < FLAT_TOL, 0.0, np.where(mu > 1.0 - FLAT_TOL, 1.0, mu))
     coords = rotation.T @ ((basis.T @ d) / sigma)
-    least = min(ratios[i] for i in undecided) ** 2
+    least = min(ratios[i] for i in undecided)
+    least *= least
     level = 1.0 / least if least > 0.0 else math.inf
     s, f, evaluations = _maximize(mu, coords**2, level)
     beyond = [i for i in undecided if ratios[i] * ratios[i] * f > 1.0]
@@ -394,14 +321,14 @@ def _decide_scaled(c1, c2, b1, b2, scales) -> tuple[list[SeparationVerdict], boo
     a, b = _weights(mu, s)
     x1 = p1.T @ (rotation @ (a * coords))
     y1 = -(p2.T @ (rotation @ (b * coords)))
-    length1, length2, fro1, fro2, reach1, reach2 = (
-        float(np.linalg.norm(v)) for v in (c1, c2, b1, b2, x1, y1)
+    length, fro1, fro2, reach1, reach2 = (
+        float(np.linalg.norm(v)) for v in (d, b1, b2, x1, y1)
     )
     for i in undecided:
         tc, r, ratio = tcs[i], rs[i], ratios[i]
         x, y = ratio * x1, ratio * y1
-        size = max(tc * length1, tc * length2, r * fro1, r * fro2)
-        residual = float(np.linalg.norm(tc * c1 + r * (b1 @ x) - tc * c2 - r * (b2 @ y)))
+        size = max(tc * length, r * fro1, r * fro2)
+        residual = float(np.linalg.norm(r * (b1 @ x) - r * (b2 @ y) - tc * d))
         reach = ratio * max(reach1, reach2)
         witnessed = reach <= 1.0 + WITNESS_TOL and residual <= WITNESS_TOL * size
         verdicts[i] = SeparationVerdict(
@@ -427,9 +354,10 @@ def decide_disjoint(e1: Ellipsoid | Ball, e2: Ellipsoid | Ball) -> SeparationVer
     exceeds the margin's forward rounding error bound, a witness only if it
     reproduces a common point up to ``WITNESS_TOL``; Indeterminate is left
     when neither check accepts. Touching bodies intersect. The decision
-    runs on the pair divided by a power of two (see ``binary_exponent``),
-    which is exact and keeps every norm in range, so it does not depend on
-    the pair's scale.
+    runs on ``d`` and the shapes, each divided by a power of two (see
+    ``binary_exponent``), which is exact and keeps every norm in range, so
+    it depends neither on the pair's scale nor on how far the centres
+    outweigh the shapes or their gap.
     """
     e1, e2 = _pair(e1, e2)
     return _decide_scaled(e1.center, e2.center, e1.shape, e2.shape, (1.0,))[0][0]

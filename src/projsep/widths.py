@@ -39,10 +39,11 @@ class WidthBound:
     reason: str | None = None
 
     def to_dict(self) -> dict:
+        """JSON fields; a non-finite ``value`` or ``std_error`` is None."""
         return {
-            "value": self.value,
+            "value": self.value if math.isfinite(self.value) else None,
             "kind": self.kind,
-            "std_error": self.std_error,
+            "std_error": self.std_error if math.isfinite(self.std_error or 0.0) else None,
             "valid": self.valid,
             "reason": self.reason,
         }

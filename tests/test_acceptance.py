@@ -12,7 +12,7 @@ import unittest
 
 import numpy as np
 
-from projsep.bodies import Ball, contains, make_ellipsoid, project_body
+from projsep.bodies import Ball, Ellipsoid, contains, project_body
 from projsep.classify import Dataset, run_pipeline
 from projsep.escape import plan_multiclass, required_dim_gordon, required_dim_two_balls
 from projsep.experiments import (
@@ -164,8 +164,8 @@ class TestAcceptance(unittest.TestCase):
         for _ in range(100):
             a1 = rng.standard_normal((2, 2))
             a2 = rng.standard_normal((2, 2))
-            e1 = make_ellipsoid(1.5 * rng.standard_normal(2), a1 @ a1.T / 2.0)
-            e2 = make_ellipsoid(1.5 * rng.standard_normal(2), a2 @ a2.T / 2.0)
+            e1 = Ellipsoid(1.5 * rng.standard_normal(2), a1 @ a1.T / 2.0)
+            e2 = Ellipsoid(1.5 * rng.standard_normal(2), a2 @ a2.T / 2.0)
             expected, magnitude = planar_oracle(e1, e2)
             if magnitude <= 1e-3:
                 continue
@@ -197,8 +197,8 @@ class TestAcceptance(unittest.TestCase):
             rng = np.random.default_rng((505, pair_index))
             shape1 = sample_wishart_shape(n, rng, constrained_axis=axis)
             shape2 = sample_wishart_shape(n, rng, constrained_axis=axis)
-            e1 = make_ellipsoid(0.5 * zeta * axis, shape1)
-            e2 = make_ellipsoid(-0.5 * zeta * axis, shape2)
+            e1 = Ellipsoid(0.5 * zeta * axis, shape1)
+            e2 = Ellipsoid(-0.5 * zeta * axis, shape2)
             bound = width_bound_ellipsoids(e1, e2)
             self.assertTrue(bound.valid)
             est = mc_width_pseudoprojection(e1, e2, trials=2000, seed=5050 + pair_index)
@@ -338,7 +338,7 @@ class TestAcceptance(unittest.TestCase):
         rng = np.random.default_rng(808)
         centers = 10.0 * rng.standard_normal((10, 3))
         points = [
-            make_ellipsoid(c, np.zeros((3, 3))) for c in centers
+            Ellipsoid(c, np.zeros((3, 3))) for c in centers
         ]
         plan = plan_multiclass(points, p=0.1)
         closed_form = math.ceil(8.0 * math.log(450.0) + 1.0)
@@ -362,7 +362,7 @@ class TestAcceptance(unittest.TestCase):
             center[k] = 30.0
             a = rng.standard_normal((n, n)) / math.sqrt(n)
             shape = a @ a.T
-            bodies.append(make_ellipsoid(center, shape))
+            bodies.append(Ellipsoid(center, shape))
             x = rng.standard_normal((per_class, n))
             x *= (rng.random(per_class) ** (1.0 / n) / np.linalg.norm(x, axis=1))[
                 :, None

@@ -10,7 +10,6 @@ from projsep.bodies import (
     contains,
     difference_cone,
     ellipsoid_from_dict,
-    make_ellipsoid,
     project_body,
     support,
 )
@@ -18,20 +17,22 @@ from projsep.bodies import (
 
 def random_body(rng, n, k=None):
     k = n if k is None else k
-    return make_ellipsoid(rng.standard_normal(n), rng.standard_normal((n, k)))
+    return Ellipsoid(rng.standard_normal(n), rng.standard_normal((n, k)))
 
 
 class TestMakeEllipsoid(unittest.TestCase):
+    """``Ellipsoid(center, shape)`` converts, validates and copies its arguments."""
+
     def test_unit_disk(self):
-        body = make_ellipsoid([0.0, 0.0], np.eye(2))
+        body = Ellipsoid([0.0, 0.0], np.eye(2))
         self.assertTrue(body.symmetric_psd)
         self.assertEqual(body.ambient_dim, 2)
 
     def test_diagonal_psd(self):
-        self.assertTrue(make_ellipsoid([0.0, 0.0], np.diag([3.0, 1.0])).symmetric_psd)
+        self.assertTrue(Ellipsoid([0.0, 0.0], np.diag([3.0, 1.0])).symmetric_psd)
 
     def test_nilpotent_shape_is_valid_but_not_psd(self):
-        body = make_ellipsoid([0.0, 0.0], [[0.0, 1.0], [0.0, 0.0]])
+        body = Ellipsoid([0.0, 0.0], [[0.0, 1.0], [0.0, 0.0]])
         self.assertFalse(body.symmetric_psd)
         self.assertEqual(body.ambient_dim, 2)
 
@@ -39,24 +40,39 @@ class TestMakeEllipsoid(unittest.TestCase):
         # at every scale: the tolerance is relative to the largest entry
         for scale in (1.0, 1e-12):
             shape = scale * np.diag([1.0, -1.0])
-            self.assertFalse(make_ellipsoid([0.0, 0.0], shape).symmetric_psd, scale)
+            self.assertFalse(Ellipsoid([0.0, 0.0], shape).symmetric_psd, scale)
 
     def test_dimension_mismatch(self):
         with self.assertRaises(ValueError):
-            make_ellipsoid([0.0, 0.0, 0.0], np.eye(2))
+            Ellipsoid([0.0, 0.0, 0.0], np.eye(2))
 
     def test_non_finite_entries(self):
         with self.assertRaises(ValueError):
-            make_ellipsoid([0.0, np.nan], np.eye(2))
+            Ellipsoid([0.0, np.nan], np.eye(2))
         with self.assertRaises(ValueError):
-            make_ellipsoid([0.0, 0.0], [[1.0, 0.0], [0.0, np.inf]])
+            Ellipsoid([0.0, 0.0], [[1.0, 0.0], [0.0, np.inf]])
 
     def test_immutability(self):
-        body = make_ellipsoid([1.0, 2.0], np.eye(2))
+        body = Ellipsoid([1.0, 2.0], np.eye(2))
         with self.assertRaises(ValueError):
             body.center[0] = 5.0
         with self.assertRaises(ValueError):
             body.shape[0, 0] = 5.0
+
+    def test_inputs_are_copied(self):
+        center, shape = np.array([1.0, 2.0]), np.eye(2)
+        body = Ellipsoid(center, shape)
+        center[0], shape[0, 0] = 5.0, 5.0
+        np.testing.assert_array_equal(body.center, [1.0, 2.0])
+        np.testing.assert_array_equal(body.shape, np.eye(2))
+        self.assertTrue(center.flags.writeable)
+
+    def test_fewer_columns_make_a_flat_body(self):
+        body = Ellipsoid([0, 0, 0], [[1], [2], [0]])
+        self.assertEqual(body.center.dtype, float)
+        self.assertEqual(body.shape.shape, (3, 1))
+        self.assertEqual(body.ambient_dim, 3)
+        self.assertFalse(body.symmetric_psd)
 
 
 class TestSupport(unittest.TestCase):
@@ -68,7 +84,7 @@ class TestSupport(unittest.TestCase):
         np.testing.assert_allclose(argmax, [1.0, 0.5, 0.5])
 
     def test_axis_aligned(self):
-        body = make_ellipsoid([0.0, 0.0], np.diag([3.0, 1.0]))
+        body = Ellipsoid([0.0, 0.0], np.diag([3.0, 1.0]))
         value, argmax = support(body, [1.0, 0.0])
         self.assertAlmostEqual(value, 3.0, places=12)
         np.testing.assert_allclose(argmax, [3.0, 0.0])
@@ -89,11 +105,11 @@ class TestSupport(unittest.TestCase):
 
     def test_zero_direction_rejected(self):
         with self.assertRaises(ValueError):
-            support(make_ellipsoid([0.0], [[1.0]]), [0.0])
+            support(Ellipsoid([0.0], [[1.0]]), [0.0])
 
     def test_degenerate_direction_returns_boundary_point(self):
         # direction annihilates the shape: any boundary point qualifies
-        body = make_ellipsoid([0.0, 0.0], [[0.0, 0.0], [0.0, 1.0]])
+        body = Ellipsoid([0.0, 0.0], [[0.0, 0.0], [0.0, 1.0]])
         value, argmax = support(body, [1.0, 0.0])
         self.assertAlmostEqual(value, 0.0, places=12)
         self.assertTrue(contains(body, argmax))
@@ -110,7 +126,7 @@ class TestSupport(unittest.TestCase):
 
 class TestProjectBody(unittest.TestCase):
     def test_identity(self):
-        body = make_ellipsoid([1.0, 2.0], np.diag([3.0, 1.0]))
+        body = Ellipsoid([1.0, 2.0], np.diag([3.0, 1.0]))
         image = project_body(np.eye(2), body)
         np.testing.assert_array_equal(image.center, body.center)
         np.testing.assert_array_equal(image.shape, body.shape)
@@ -226,7 +242,7 @@ class TestCone(unittest.TestCase):
 class TestContains(unittest.TestCase):
     def test_flat_body_membership(self):
         # segment from (-1, 0) to (1, 0)
-        body = make_ellipsoid([0.0, 0.0], [[1.0], [0.0]])
+        body = Ellipsoid([0.0, 0.0], [[1.0], [0.0]])
         self.assertTrue(contains(body, [0.5, 0.0]))
         self.assertFalse(contains(body, [0.5, 0.1]))
         self.assertFalse(contains(body, [1.5, 0.0]))

@@ -149,6 +149,19 @@ class TestExtremeScales(unittest.TestCase):
         self.assertIsNone(payload["margin"])
         self.assertEqual(payload["certificate"], [1.0, 0.0])
 
+    def test_small_gap_between_far_centres(self):
+        # the centres exceed the radii 1e600 times; the gap 3e-300 beats 2e-300
+        with tempfile.TemporaryDirectory() as tmp:
+            code, text, _ = self.run_pair(
+                tmp, "separate",
+                {"center": [1e300, 0.0], "radius": 1e-300},
+                {"center": [1e300, 3e-300], "radius": 1e-300},
+            )
+        self.assertEqual(code, 0)
+        payload = json.loads(text, parse_constant=strict_json_constant)
+        self.assertEqual(payload["state"], "Disjoint")
+        self.assertEqual(payload["certificate"], [0.0, 1.0])
+
     def test_sweep_gap_near_double_range(self):
         with tempfile.TemporaryDirectory() as tmp:
             out = Path(tmp) / "grid.csv"
@@ -334,6 +347,22 @@ class TestPlanCommand(unittest.TestCase):
             code, out, err = run_cli(["plan", "--classes", str(path)])
         self.assertEqual(code, 1)
         self.assertIn("theorem-hypothesis-violated", err)
+
+    def test_infeasible_plan_writes_strict_json(self):
+        # the pair 0-1 overlaps, so its width is invalid and written as null
+        classes = [{"center": [x, 0.0], "radius": 1.0} for x in (0.0, 1.0, 10.0)]
+        with tempfile.TemporaryDirectory() as tmp:
+            path, out = Path(tmp) / "classes.json", Path(tmp) / "plan.json"
+            path.write_text(json.dumps(classes))
+            code, _, _ = run_cli(["plan", "--classes", str(path), "--out", str(out)])
+            payload = json.loads(out.read_text(), parse_constant=strict_json_constant)
+        self.assertEqual(code, 1)
+        self.assertFalse(payload["feasible"])
+        bounds = {(pair["first"], pair["second"]): pair["bound"] for pair in payload["pairs"]}
+        self.assertIsNone(bounds[0, 1]["value"])
+        self.assertFalse(bounds[0, 1]["valid"])
+        self.assertEqual(bounds[0, 1]["kind"], "EllipsoidTheorem")
+        self.assertGreater(bounds[1, 2]["value"], 0.0)
 
 
 class TestPcaToyAndClassify(unittest.TestCase):
@@ -600,7 +629,8 @@ def mostly(good, bad, odds=10):
 
 
 numbers = mostly(st.integers(-12, 12).map(lambda k: k / 4),
-                 st.sampled_from([float("nan"), float("inf"), 1e300, 10**400, None, "1"]),
+                 st.sampled_from([float("nan"), float("inf"), 1e-300, 1e300, 1e308, 10**400,
+                                  None, "1"]),
                  odds=50)
 json_values = st.recursive(
     st.none() | st.booleans() | numbers | st.text(max_size=3),

@@ -3,7 +3,7 @@ import unittest
 
 import numpy as np
 
-from projsep.bodies import Ball, make_ellipsoid
+from projsep.bodies import Ball, Ellipsoid
 from projsep.escape import (
     plan_multiclass,
     required_dim_gordon,
@@ -100,7 +100,7 @@ class TestRequiredDimTwoBalls(unittest.TestCase):
 class TestPlanMulticlass(unittest.TestCase):
     def point(self, coords):
         coords = np.asarray(coords, dtype=float)
-        return make_ellipsoid(coords, np.zeros((coords.size, coords.size)))
+        return Ellipsoid(coords, np.zeros((coords.size, coords.size)))
 
     def test_two_classes_single_pair(self):
         e1 = self.point([0.0, 0.0])

@@ -10,7 +10,7 @@ import numpy as np
 
 from projsep import experiments
 from projsep._rng import substream
-from projsep.bodies import CircularCone, Ellipsoid, make_ellipsoid
+from projsep.bodies import CircularCone, Ellipsoid
 from projsep.experiments import (
     CONE_KIND,
     ELLIPSOID_GENERAL_KIND,
@@ -68,7 +68,7 @@ def ellipsoid_reference(n, zetas, ms, trials, seed, variant):
         matrix = rng.standard_normal((ms[-1], n))
         for i, zeta in enumerate(zetas):
             c1 = 0.5 * zeta * axis
-            pre = decide_disjoint(make_ellipsoid(c1, shape1), make_ellipsoid(-c1, shape2))
+            pre = decide_disjoint(Ellipsoid(c1, shape1), Ellipsoid(-c1, shape2))
             preprojection[i] += pre.state == DISJOINT
             for j, m in enumerate(ms):
                 rows = matrix[:m]
@@ -251,7 +251,7 @@ class TestEllipsoidSweepRecord(unittest.TestCase):
             grid = run_ellipsoid_phase(n, zetas, ms, trials, seed, variant="hyperplane")
         for c1, c2, b1, b2, scales, verdicts in decided:
             for t, verdict in zip(scales, verdicts):
-                assert_checked(self, verdict, make_ellipsoid(t * c1, b1), make_ellipsoid(t * c2, b2))
+                assert_checked(self, verdict, Ellipsoid(t * c1, b1), Ellipsoid(t * c2, b2))
         record = grid.meta["decisions"]
         self.assertEqual(record["calls"], len(decided))
         self.assertEqual(record["verdicts"], sum(len(entry[-1]) for entry in decided))

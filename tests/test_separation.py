@@ -9,10 +9,10 @@ from hypothesis.extra.numpy import arrays
 from projsep.bodies import (
     Ball,
     CircularCone,
+    Ellipsoid,
     GaussianProjection,
     binary_exponent,
     contains,
-    make_ellipsoid,
     support,
 )
 from projsep.separation import (
@@ -22,14 +22,13 @@ from projsep.separation import (
     _decide_scaled,
     decide_disjoint,
     dual_cone_margin,
-    min_norm_point,
     nullspace_avoids_cone,
 )
 
 
-def random_psd_ellipsoid(rng, n, center_scale=1.0, shape_scale=1.0):
-    a = shape_scale * rng.standard_normal((n, n))
-    return make_ellipsoid(center_scale * rng.standard_normal(n), a @ a.T / n)
+def random_psd_ellipsoid(rng, n, center_scale=1.0):
+    a = rng.standard_normal((n, n))
+    return Ellipsoid(center_scale * rng.standard_normal(n), a @ a.T / n)
 
 
 def preimage_norms(body, points):
@@ -62,19 +61,20 @@ def exactly_separates(w, e1, e2):
 def assert_checked(case, verdict, e1, e2):
     """The certificate separates or the witness is a common point, rechecked here.
 
-    The check runs on the pair divided by a power of two, which is exact
-    and keeps its norms in range at any scale.
+    A certificate is checked in exact arithmetic on the pair as given, so
+    at any scale and however far the centres outweigh their gap. A witness
+    is checked on the pair divided by a power of two, which keeps its norms
+    in range at any scale.
     """
     e1, e2 = (e.to_ellipsoid() if isinstance(e, Ball) else e for e in (e1, e2))
-    exp = binary_exponent(e1.center, e2.center, e1.shape, e2.shape)
-    e1, e2 = (make_ellipsoid(np.ldexp(e.center, -exp), np.ldexp(e.shape, -exp)) for e in (e1, e2))
     if verdict.state == DISJOINT:
         w = verdict.certificate
         case.assertAlmostEqual(float(np.linalg.norm(w)), 1.0, places=12)
-        case.assertLess(support(e1, w)[0], -support(e2, -w)[0])
         case.assertTrue(exactly_separates(w, e1, e2))
         case.assertGreater(verdict.margin, 0.0)
     else:
+        exp = binary_exponent(e1.center, e2.center, e1.shape, e2.shape)
+        e1, e2 = (Ellipsoid(np.ldexp(e.center, -exp), np.ldexp(e.shape, -exp)) for e in (e1, e2))
         case.assertEqual(verdict.state, INTERSECTING)
         x, y = verdict.witness
         case.assertLessEqual(max(np.linalg.norm(x), np.linalg.norm(y)), 1.0 + 1e-9)
@@ -108,107 +108,6 @@ def brute_force_expected(e1, e2, grid=2000):
     return None
 
 
-class TestMinNormPoint(unittest.TestCase):
-    def test_collinear_unit_balls(self):
-        b1 = Ball(np.zeros(3), 1.0).to_ellipsoid()
-        c2 = np.array([3.0, 0.0, 0.0])
-        b2 = Ball(c2, 1.0).to_ellipsoid()
-        result = min_norm_point(b1, b2, tol=1e-10)
-        self.assertAlmostEqual(result.norm, 1.0, places=6)
-        np.testing.assert_allclose(result.point, [-1.0, 0.0, 0.0], atol=1e-4)
-
-    def test_identical_bodies_touch(self):
-        body = Ball(np.array([1.0, 2.0]), 1.5).to_ellipsoid()
-        result = min_norm_point(body, body, tol=1e-9)
-        self.assertLessEqual(result.norm, 1e-4)
-
-    def test_support_points_feasible(self):
-        rng = np.random.default_rng(33)
-        e1 = random_psd_ellipsoid(rng, 4)
-        e2 = random_psd_ellipsoid(rng, 4, center_scale=6.0)
-        result = min_norm_point(e1, e2, tol=1e-9)
-        self.assertTrue(contains(e1, e1.center + e1.shape @ result.x, tol=1e-7))
-        self.assertTrue(contains(e2, e2.center + e2.shape @ result.y, tol=1e-7))
-        gap_point = (e1.center + e1.shape @ result.x) - (
-            e2.center + e2.shape @ result.y
-        )
-        np.testing.assert_allclose(result.point, gap_point, atol=1e-10)
-
-    def test_norm_never_worse_with_more_iterations(self):
-        rng = np.random.default_rng(44)
-        e1 = random_psd_ellipsoid(rng, 5)
-        e2 = random_psd_ellipsoid(rng, 5, center_scale=4.0)
-        norms = [
-            min_norm_point(e1, e2, tol=0.0, max_iter=k).norm for k in (5, 20, 80, 320)
-        ]
-        self.assertTrue(all(a >= b - 1e-12 for a, b in zip(norms, norms[1:])))
-
-    def test_dual_gap_bounds_suboptimality(self):
-        # ||z||^2 - ||z*||^2 <= gap along the whole run, so the final gap
-        # certifies near-optimality of the final norm
-        b1 = Ball(np.zeros(2), 1.0).to_ellipsoid()
-        b2 = Ball(np.array([5.0, 0.0]), 1.0).to_ellipsoid()
-        result = min_norm_point(b1, b2, tol=1e-12)
-        self.assertLessEqual(result.norm**2 - 3.0**2, result.dual_gap + 1e-9)
-
-    def test_small_bodies_are_solved_to_their_own_scale(self):
-        # radius-1e-8 balls 1.04e-8 apart: an absolute gap of 1e-7 would
-        # stop at the centre distance 3.04e-8
-        b1 = Ball(np.zeros(3), 1e-8)
-        b2 = Ball(np.array([3.0, 0.5, 0.0]) * 1e-8, 1e-8)
-        result = min_norm_point(b1, b2)
-        self.assertAlmostEqual(result.norm / 1e-8, np.hypot(3.0, 0.5) - 2.0, places=6)
-
-    def test_scaling_scales_the_norm_and_keeps_the_iterations(self):
-        rng = np.random.default_rng(3)
-        for _ in range(5):
-            c1, c2 = rng.standard_normal(4), 4.0 * rng.standard_normal(4)
-            b1, b2 = rng.standard_normal((4, 4)), rng.standard_normal((4, 4))
-            results = {
-                scale: min_norm_point(
-                    make_ellipsoid(scale * c1, scale * b1),
-                    make_ellipsoid(scale * c2, scale * b2),
-                )
-                for scale in (1e-8, 1.0, 1e8)
-            }
-            reference = results[1.0]
-            self.assertGreater(reference.iterations, 2)
-            for scale, result in results.items():
-                self.assertEqual(result.iterations, reference.iterations, scale)
-                self.assertAlmostEqual(
-                    result.norm / scale, reference.norm, delta=1e-9 * reference.norm
-                )
-
-    def test_out_of_iterations_returns_the_iterate_after_the_last_step(self):
-        # the run capped at k + 1 iterations reports the gap of the iterate
-        # after k steps, which the run capped at k must return
-        rng = np.random.default_rng(5)
-        checked = 0
-        for _ in range(10):
-            e1 = random_psd_ellipsoid(rng, 6, shape_scale=1.5)
-            e2 = random_psd_ellipsoid(rng, 6, center_scale=3.0, shape_scale=1.5)
-            c_gap = e1.center - e2.center
-            for k in range(1, 6):
-                r = min_norm_point(e1, e2, tol=0.0, max_iter=k)
-                following = min_norm_point(e1, e2, tol=0.0, max_iter=k + 1)
-                if following.iterations != k + 1:
-                    break
-                z = r.point
-                gap = (
-                    z @ z
-                    - z @ c_gap
-                    + np.linalg.norm(e1.shape.T @ z)
-                    + np.linalg.norm(e2.shape.T @ z)
-                )
-                self.assertEqual(r.iterations, k)
-                self.assertAlmostEqual(following.dual_gap, gap, delta=1e-9 * (1.0 + gap))
-                np.testing.assert_allclose(
-                    z, c_gap + e1.shape @ r.x - e2.shape @ r.y, atol=1e-12
-                )
-                checked += 1
-        self.assertGreaterEqual(checked, 30)
-
-
 class TestDualConeMargin(unittest.TestCase):
     def test_separated_balls(self):
         b1 = Ball(np.zeros(3), 1.0)
@@ -217,8 +116,8 @@ class TestDualConeMargin(unittest.TestCase):
         self.assertAlmostEqual(margin, 2.0, places=12)
 
     def test_point_bodies_orthogonal_direction(self):
-        e1 = make_ellipsoid([0.0, 0.0], np.zeros((2, 2)))
-        e2 = make_ellipsoid([3.0, 0.0], np.zeros((2, 2)))
+        e1 = Ellipsoid([0.0, 0.0], np.zeros((2, 2)))
+        e2 = Ellipsoid([3.0, 0.0], np.zeros((2, 2)))
         self.assertAlmostEqual(
             dual_cone_margin(np.array([0.0, 1.0]), e1, e2), 0.0, places=12
         )
@@ -300,8 +199,8 @@ class TestDecideDisjoint(unittest.TestCase):
             e1 = random_psd_ellipsoid(rng, 3)
             e2 = random_psd_ellipsoid(rng, 3, center_scale=4.0)
             q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
-            r1 = make_ellipsoid(q @ e1.center, q @ e1.shape @ q.T)
-            r2 = make_ellipsoid(q @ e2.center, q @ e2.shape @ q.T)
+            r1 = Ellipsoid(q @ e1.center, q @ e1.shape @ q.T)
+            r2 = Ellipsoid(q @ e2.center, q @ e2.shape @ q.T)
             self.assertEqual(
                 decide_disjoint(e1, e2).state, decide_disjoint(r1, r2).state
             )
@@ -339,7 +238,7 @@ def ball(center, radius):
 
 def segment(start, end):
     start, end = np.asarray(start, dtype=float), np.asarray(end, dtype=float)
-    return make_ellipsoid((start + end) / 2.0, ((end - start) / 2.0)[:, None])
+    return Ellipsoid((start + end) / 2.0, ((end - start) / 2.0)[:, None])
 
 
 class TestExactDecision(unittest.TestCase):
@@ -350,16 +249,16 @@ class TestExactDecision(unittest.TestCase):
 
     def test_point_inside_and_outside_a_ball(self):
         body = ball([1.0, -2.0, 0.5], 2.0)
-        inside = make_ellipsoid([2.0, -1.0, 0.5], np.zeros((3, 0)))
-        outside = make_ellipsoid([4.0, -2.0, 0.5], np.zeros((3, 0)))
+        inside = Ellipsoid([2.0, -1.0, 0.5], np.zeros((3, 0)))
+        outside = Ellipsoid([4.0, -2.0, 0.5], np.zeros((3, 0)))
         for e1, e2 in ((body, inside), (inside, body)):
             self.assertEqual(self.decide(e1, e2).state, INTERSECTING)
         for e1, e2 in ((body, outside), (outside, body)):
             self.assertEqual(self.decide(e1, e2).state, DISJOINT)
 
     def test_coincident_and_distinct_points(self):
-        p = make_ellipsoid([1.0, 2.0], np.zeros((2, 2)))
-        q = make_ellipsoid([1.0, 2.0 + 1e-12], np.zeros((2, 2)))
+        p = Ellipsoid([1.0, 2.0], np.zeros((2, 2)))
+        q = Ellipsoid([1.0, 2.0 + 1e-12], np.zeros((2, 2)))
         self.assertEqual(self.decide(p, p).state, INTERSECTING)
         self.assertEqual(self.decide(p, q).state, DISJOINT)
 
@@ -387,8 +286,8 @@ class TestExactDecision(unittest.TestCase):
         axis = np.eye(n)[0]
         matrix = rng.standard_normal((n, n))
         shapes = [sample_wishart_shape(n, rng, constrained_axis=axis) for _ in range(2)]
-        e1 = make_ellipsoid(matrix @ (0.5 * axis), matrix @ shapes[0])
-        e2 = make_ellipsoid(-(matrix @ (0.5 * axis)), matrix @ shapes[1])
+        e1 = Ellipsoid(matrix @ (0.5 * axis), matrix @ shapes[0])
+        e2 = Ellipsoid(-(matrix @ (0.5 * axis)), matrix @ shapes[1])
         self.assertLessEqual(dual_cone_margin(e2.center - e1.center, e1, e2), 0.0)
         verdict = self.decide(e1, e2)
         self.assertEqual(verdict.state, DISJOINT)
@@ -401,8 +300,8 @@ class TestExactDecision(unittest.TestCase):
     def test_thin_bodies_need_the_dual(self):
         # the centre line does not separate these; a dual direction does
         shape = np.diag([10.0, 0.1])
-        e1 = make_ellipsoid([0.0, 0.0], shape)
-        e2 = make_ellipsoid([1.0, 0.5], shape)
+        e1 = Ellipsoid([0.0, 0.0], shape)
+        e2 = Ellipsoid([1.0, 0.5], shape)
         self.assertLessEqual(dual_cone_margin(e2.center - e1.center, e1, e2), 0.0)
         verdict = self.decide(e1, e2)
         self.assertEqual(verdict.state, DISJOINT)
@@ -424,8 +323,8 @@ class TestExactDecision(unittest.TestCase):
 # skew segments in R^3, so disjoint; but their support values along the centre
 # line are equal, so a positive margin in that direction is rounding only
 SKEW_SEGMENTS = (
-    make_ellipsoid([-2.4375, 0.9375, -0.0625], [[2.625], [2.1875], [-2.25]]),
-    make_ellipsoid([-2.625, -2.5, 0.0], [[2.875], [0.9375], [0.9375]]),
+    Ellipsoid([-2.4375, 0.9375, -0.0625], [[2.625], [2.1875], [-2.25]]),
+    Ellipsoid([-2.625, -2.5, 0.0], [[2.875], [0.9375], [0.9375]]),
 )
 # integer vectors whose length is an integer: (3, 4) has length 5
 PYTHAGOREAN = ((3, 4, 0, 5), (5, 12, 0, 13), (8, 15, 0, 17), (1, 2, 2, 3), (2, 3, 6, 7),
@@ -486,7 +385,7 @@ def body_pairs(draw):
 
     def body():
         k = draw(st.integers(0, n + 1))
-        return make_ellipsoid(draw(arrays(float, n, elements=entries)),
+        return Ellipsoid(draw(arrays(float, n, elements=entries)),
                               draw(arrays(float, (n, k), elements=entries)))
 
     return body(), body(), draw(st.integers(0, 2**32 - 1))
@@ -494,7 +393,7 @@ def body_pairs(draw):
 
 def moved(body, scale, rotation, shift):
     center = scale * (rotation @ body.center + shift)
-    return make_ellipsoid(center, scale * (rotation @ body.shape))
+    return Ellipsoid(center, scale * (rotation @ body.shape))
 
 
 def pair_size(e1, e2):
@@ -558,9 +457,9 @@ class TestScaledFamily(unittest.TestCase):
     # a search that stopped at the larger scale's level would leave the
     # smaller scale without a certificate
     @example(
-        (make_ellipsoid([-2.3125, -2.9375, -0.875],
+        (Ellipsoid([-2.3125, -2.9375, -0.875],
                         [[-0.5625, 2.0625], [-0.625, -0.75], [-1.625, -1.8125]]),
-         make_ellipsoid([-1.0625, -1.1875, 0.9375],
+         Ellipsoid([-1.0625, -1.1875, 0.9375],
                         [[2.25, -2.375, -2.625], [-0.375, 0.3125, 0.375], [2.75, 2.25, -2.125]]),
          0),
         [0.5, 1.0],
@@ -570,7 +469,7 @@ class TestScaledFamily(unittest.TestCase):
         verdicts, _ = _decide_scaled(e1.center, e2.center, e1.shape, e2.shape, scales)
         self.assertEqual(len(verdicts), len(scales))
         for t, verdict in zip(scales, verdicts):
-            f1, f2 = (make_ellipsoid(t * e.center, e.shape) for e in (e1, e2))
+            f1, f2 = (Ellipsoid(t * e.center, e.shape) for e in (e1, e2))
             self.assertEqual(verdict.state, decide_disjoint(f1, f2).state, t)
             assert_checked(self, verdict, f1, f2)
             if verdict.state == DISJOINT:
@@ -623,7 +522,7 @@ def scale_pairs(s):
     """
     shape = np.diag([s, 1.0, 1.0])
     return {
-        "overlapping": (make_ellipsoid([s, 0.0, 0.0], shape), make_ellipsoid(np.zeros(3), shape)),
+        "overlapping": (Ellipsoid([s, 0.0, 0.0], shape), Ellipsoid(np.zeros(3), shape)),
         "apart": (ball([0.0, 0.0, 0.0], s), ball([3.0 * s, 0.0, 0.0], s)),
     }
 
@@ -646,6 +545,40 @@ class TestExtremeScales(unittest.TestCase):
             self.assertAlmostEqual(
                 decide_disjoint(*scale_pairs(s)["apart"]).norm, reference["apart"].norm, places=12
             )
+
+
+# pairs whose centres outweigh their shapes, or their gap, by more than the
+# double range, with the verdict each must get
+FAR_CENTRES = {
+    "balls far apart": (ball([-1e300, 0.0], 1e-300), ball([1e300, 0.0], 1e-300), DISJOINT),
+    "points beyond the largest gap": (ball([-1e308, 0.0], 0.0), ball([1e308, 0.0], 0.0),
+                                      DISJOINT),
+    "one ball twice, far out": (ball([1e300, 0.0], 1e-300), ball([1e300, 0.0], 1e-300),
+                                INTERSECTING),
+    # the gap 3e-300 exceeds the radii's sum 2e-300
+    "a small gap far out": (ball([1e300, 0.0], 1e-300), ball([1e300, 3e-300], 1e-300),
+                            DISJOINT),
+    "points a subnormal apart": (ball([0.0], 0.0), ball([1e-310], 0.0), DISJOINT),
+}
+
+
+class TestFarCentres(unittest.TestCase):
+    def test_verdicts_are_checked(self):
+        for name, (e1, e2, state) in FAR_CENTRES.items():
+            with self.subTest(name):
+                verdict = decide_disjoint(e1, e2)
+                self.assertEqual(verdict.state, state)
+                assert_checked(self, verdict, e1, e2)
+                swapped = decide_disjoint(e2, e1)
+                self.assertEqual(swapped.state, state)
+                assert_checked(self, swapped, e2, e1)
+
+    def test_small_gap_keeps_its_margin(self):
+        e1, e2, _ = FAR_CENTRES["a small gap far out"]
+        verdict = decide_disjoint(e1, e2)
+        np.testing.assert_array_equal(verdict.certificate, [0.0, 1.0])
+        self.assertAlmostEqual(verdict.margin / 1e-300, 1.0, places=12)
+        self.assertAlmostEqual(verdict.norm, 1.5, places=12)
 
 
 class TestNullspaceAvoidsCone(unittest.TestCase):

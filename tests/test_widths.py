@@ -4,7 +4,7 @@ import unittest
 import numpy as np
 from scipy.stats import norm
 
-from projsep.bodies import Ball, CircularCone, make_ellipsoid
+from projsep.bodies import Ball, CircularCone, Ellipsoid
 from projsep.widths import (
     circular_width_sq,
     mc_expected_map_norm,
@@ -60,8 +60,8 @@ class TestWidthBoundEllipsoids(unittest.TestCase):
         self.assertAlmostEqual(bound.value, 10.398942280401434, places=9)
 
     def test_point_bodies(self):
-        e1 = make_ellipsoid([0.0, 0.0], np.zeros((2, 2)))
-        e2 = make_ellipsoid([3.0, 0.0], np.zeros((2, 2)))
+        e1 = Ellipsoid([0.0, 0.0], np.zeros((2, 2)))
+        e2 = Ellipsoid([3.0, 0.0], np.zeros((2, 2)))
         bound = width_bound_ellipsoids(e1, e2)
         self.assertAlmostEqual(bound.value, 1.0 / np.sqrt(2.0 * np.pi), places=12)
 
@@ -91,11 +91,11 @@ class TestWidthBoundEllipsoids(unittest.TestCase):
             a = scale * rng.standard_normal((4, 4))
             return a @ a.T
 
-        e1 = make_ellipsoid(rng.standard_normal(4), psd(0.4))
-        e2 = make_ellipsoid(rng.standard_normal(4) + 8.0, psd(0.4))
+        e1 = Ellipsoid(rng.standard_normal(4), psd(0.4))
+        e2 = Ellipsoid(rng.standard_normal(4) + 8.0, psd(0.4))
         q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
-        r1 = make_ellipsoid(q @ e1.center, q @ e1.shape @ q.T)
-        r2 = make_ellipsoid(q @ e2.center, q @ e2.shape @ q.T)
+        r1 = Ellipsoid(q @ e1.center, q @ e1.shape @ q.T)
+        r2 = Ellipsoid(q @ e2.center, q @ e2.shape @ q.T)
         self.assertAlmostEqual(
             width_bound_ellipsoids(e1, e2).value,
             width_bound_ellipsoids(r1, r2).value,
@@ -116,8 +116,8 @@ class TestAxisPairBounds(unittest.TestCase):
                 bounds = _axis_pair_bounds(*shapes, axis, zetas)
                 self.assertIsNone(bounds[0])
                 for zeta, bound in zip(zetas[1:], bounds[1:]):
-                    pair = (make_ellipsoid(0.5 * zeta * axis, shapes[0]),
-                            make_ellipsoid(-0.5 * zeta * axis, shapes[1]))
+                    pair = (Ellipsoid(0.5 * zeta * axis, shapes[0]),
+                            Ellipsoid(-0.5 * zeta * axis, shapes[1]))
                     self.assertEqual(bound, width_bound_ellipsoids(*pair), zeta)
                 self.assertTrue(any(b.valid for b in bounds[1:]))
 
@@ -130,9 +130,9 @@ def scale_pairs(s):
     """Equal shapes diag(s, 1, 1) centred at s e_0 and 0, and unit balls scaled by s, 3s apart."""
     shape = np.diag([s, 1.0, 1.0])
     return {
-        "overlapping": (make_ellipsoid([s, 0.0, 0.0], shape), make_ellipsoid(np.zeros(3), shape)),
-        "apart": (make_ellipsoid(np.zeros(3), s * np.eye(3)),
-                  make_ellipsoid([3.0 * s, 0.0, 0.0], s * np.eye(3))),
+        "overlapping": (Ellipsoid([s, 0.0, 0.0], shape), Ellipsoid(np.zeros(3), shape)),
+        "apart": (Ellipsoid(np.zeros(3), s * np.eye(3)),
+                  Ellipsoid([3.0 * s, 0.0, 0.0], s * np.eye(3))),
     }
 
 
@@ -164,8 +164,8 @@ class TestExtremeScales(unittest.TestCase):
         self.assertGreater(np.abs(shape - shape.T).max(), 0.0)
 
         def bound(s):
-            e1 = make_ellipsoid(np.zeros(4), s * shape)
-            return width_bound_ellipsoids(e1, make_ellipsoid([20.0 * s, 0.0, 0.0, 0.0], s * shape))
+            e1 = Ellipsoid(np.zeros(4), s * shape)
+            return width_bound_ellipsoids(e1, Ellipsoid([20.0 * s, 0.0, 0.0, 0.0], s * shape))
 
         reference = bound(1.0)
         self.assertTrue(reference.valid)
@@ -212,8 +212,8 @@ class TestPositivePartExpectation(unittest.TestCase):
 
 class TestMcWidthPseudoprojection(unittest.TestCase):
     def test_point_bodies_exact(self):
-        e1 = make_ellipsoid([0.0, 0.0], np.zeros((2, 2)))
-        e2 = make_ellipsoid([3.0, 0.0], np.zeros((2, 2)))
+        e1 = Ellipsoid([0.0, 0.0], np.zeros((2, 2)))
+        e2 = Ellipsoid([3.0, 0.0], np.zeros((2, 2)))
         est = mc_width_pseudoprojection(e1, e2, trials=50, seed=0)
         self.assertAlmostEqual(est.value, 1.0 / np.sqrt(2.0 * np.pi), places=12)
         self.assertEqual(est.std_error, 0.0)
