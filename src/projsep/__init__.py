@@ -16,7 +16,6 @@ from .bodies import (
     GaussianProjection,
     difference_cone,
     project_body,
-    support,
 )
 from .escape import (
     MultiClassPlan,
@@ -34,11 +33,8 @@ from .experiments import (
     save_phase_grid,
 )
 from .separation import (
-    NullspaceCheck,
     SeparationVerdict,
     decide_disjoint,
-    dual_cone_margin,
-    nullspace_avoids_cone,
 )
 from .widths import (
     WidthBound,
@@ -56,7 +52,6 @@ __all__ = [
     "GaussianProjection",
     "difference_cone",
     "project_body",
-    "support",
     "MultiClassPlan",
     "plan_multiclass",
     "required_dim_gordon",
@@ -68,11 +63,8 @@ __all__ = [
     "run_ellipsoid_phase",
     "sample_wishart_shape",
     "save_phase_grid",
-    "NullspaceCheck",
     "SeparationVerdict",
     "decide_disjoint",
-    "dual_cone_margin",
-    "nullspace_avoids_cone",
     "WidthBound",
     "circular_width_sq",
     "mc_expected_map_norm",

@@ -16,7 +16,6 @@ import numpy as np
 SYMMETRY_TOL = 1e-10
 EIGENVALUE_TOL = 1e-10
 UNIT_NORM_TOL = 1e-12
-MEMBERSHIP_TOL = 1e-9
 
 
 def _as_float_array(value, name: str, ndim: int) -> np.ndarray:
@@ -167,45 +166,6 @@ class GaussianProjection:
         return matrix
 
 
-def support(body: Ellipsoid | Ball, direction) -> tuple[float, np.ndarray]:
-    """Support function of the body: max of ``<p, direction>`` over the body.
-
-    Parameters
-    ----------
-    body : Ellipsoid or Ball
-    direction : array_like, shape (n,)
-        Need not be normalized; must be nonzero.
-
-    Returns
-    -------
-    value : float
-        ``<center, u> + ||shape.T @ u||``.
-    argmax : ndarray
-        A maximizing point of the body (any boundary point when the
-        direction annihilates the shape).
-    """
-    if isinstance(body, Ball):
-        body = body.to_ellipsoid()
-    u = np.asarray(direction, dtype=float)
-    if u.shape != (body.ambient_dim,):
-        raise ValueError(f"direction shape {u.shape} does not match body dimension")
-    norm_u = float(np.linalg.norm(u))
-    if norm_u == 0.0:
-        raise ValueError("direction must be nonzero")
-    bt_u = body.shape.T @ u
-    norm_bt = float(np.linalg.norm(bt_u))
-    value = float(body.center @ u) + norm_bt
-    if norm_bt > 0.0:
-        argmax = body.center + body.shape @ (bt_u / norm_bt)
-    elif body.shape.shape[1] > 0:
-        x = np.zeros(body.shape.shape[1])
-        x[0] = 1.0
-        argmax = body.center + body.shape @ x
-    else:
-        argmax = body.center.copy()
-    return value, argmax
-
-
 def project_body(projection, body: Ellipsoid | Ball) -> Ellipsoid:
     """Image of the body under a linear map: centers and shapes map directly."""
     if isinstance(body, Ball):
@@ -238,28 +198,6 @@ def difference_cone(ball1: Ball, ball2: Ball) -> CircularCone:
             f"||c1 - c2|| = {dist}"
         )
     return CircularCone(gap / dist, math.asin(spread / dist))
-
-
-def contains(body: Ellipsoid | Ball, point, tol: float = MEMBERSHIP_TOL) -> bool:
-    """Membership test that also handles flat bodies.
-
-    The point must lie in the affine span of the body (least-squares
-    residual below ``tol``) and the minimum-norm preimage must satisfy
-    ``||x|| <= 1 + tol``.
-    """
-    if isinstance(body, Ball):
-        body = body.to_ellipsoid()
-    p = np.asarray(point, dtype=float)
-    if p.shape != (body.ambient_dim,):
-        raise ValueError("point dimension does not match body")
-    offset = p - body.center
-    if body.shape.shape[1] == 0:
-        return float(np.linalg.norm(offset)) <= tol
-    x, *_ = np.linalg.lstsq(body.shape, offset, rcond=None)
-    residual = float(np.linalg.norm(body.shape @ x - offset))
-    if residual > tol:
-        return False
-    return float(np.linalg.norm(x)) <= 1.0 + tol
 
 
 def ellipsoid_from_dict(data) -> Ellipsoid:

@@ -21,15 +21,18 @@ def required_dim_gordon(width: float, eta: float) -> int:
     """Smallest projected dimension with failure probability at most eta.
 
     Returns the least integer strictly greater than
-    ``(width + sqrt(2 ln(1/eta)))^2 + 1``.
+    ``(width + sqrt(2 ln(1/eta)))^2 + 1``; raises ValueError where that
+    threshold is beyond the doubles.
     """
     width = float(width)
     if math.isnan(width) or width < 0.0:
         raise ValueError(f"width must be a nonnegative number, got {width!r}")
     if not 0.0 < eta < 1.0:
         raise ValueError(f"eta must lie in (0, 1), got {eta!r}")
-    threshold = (width + math.sqrt(2.0 * math.log(1.0 / eta))) ** 2 + 1.0
-    return int(math.floor(threshold)) + 1
+    try:
+        return int(math.floor((width + math.sqrt(2.0 * math.log(1.0 / eta))) ** 2 + 1.0)) + 1
+    except OverflowError:
+        raise ValueError(f"projection dimension beyond the doubles: width {width!r}") from None
 
 
 def required_dim_two_balls(n: int, ball1: Ball, ball2: Ball, eta: float) -> int:

@@ -21,7 +21,7 @@ from itertools import count
 
 import numpy as np
 
-from .bodies import Ball, CircularCone, Ellipsoid, GaussianProjection
+from .bodies import Ball, Ellipsoid
 
 DISJOINT = "Disjoint"
 INTERSECTING = "Intersecting"
@@ -66,51 +66,6 @@ class SeparationVerdict:
             if self.witness is None
             else [self.witness[0].tolist(), self.witness[1].tolist()],
         }
-
-
-@dataclass(frozen=True)
-class NullspaceCheck:
-    """Result of the exact null-space-versus-cone test; truthy when clear.
-
-    ``gap`` is ``cos(half_angle) - ||projection of the axis onto the null
-    space||``; the cone is avoided iff the gap is positive (or the null
-    space is trivial). ``rank_deficient`` flags maps with rank below their
-    row count (the computed rank is used).
-    """
-
-    avoids: bool
-    gap: float
-    rank: int
-    rank_deficient: bool
-
-    def __bool__(self) -> bool:
-        return self.avoids
-
-
-def _pair(e1: Ellipsoid | Ball, e2: Ellipsoid | Ball) -> tuple[Ellipsoid, Ellipsoid]:
-    e1, e2 = (e.to_ellipsoid() if isinstance(e, Ball) else e for e in (e1, e2))
-    if e1.ambient_dim != e2.ambient_dim:
-        raise ValueError(
-            f"bodies must share an ambient dimension, got {e1.ambient_dim} "
-            f"and {e2.ambient_dim}"
-        )
-    return e1, e2
-
-
-def dual_cone_margin(w, e1: Ellipsoid | Ball, e2: Ellipsoid | Ball) -> float:
-    """Separation margin of a direction: ``<w, c2-c1> - ||B1'w|| - ||B2'w||``.
-
-    Positive iff the hyperplane normal to w strictly separates the bodies
-    (w points from the first body toward the second).
-    """
-    e1, e2 = _pair(e1, e2)
-    w = np.asarray(w, dtype=float)
-    if w.shape != (e1.ambient_dim,):
-        raise ValueError("direction dimension does not match the bodies")
-    if float(np.linalg.norm(w)) == 0.0:
-        raise ValueError("direction must be nonzero")
-    reach1, reach2 = (float(np.linalg.norm(e.shape.T @ w)) for e in (e1, e2))
-    return float(w @ (e2.center - e1.center)) - reach1 - reach2
 
 
 def _rounding_slack(d: np.ndarray, b1: np.ndarray, b2: np.ndarray, factors) -> list[float]:
@@ -350,56 +305,20 @@ def decide_disjoint(e1: Ellipsoid | Ball, e2: Ellipsoid | Ball) -> SeparationVer
     separates; at most 1, the maximizer ``s`` gives the common point
     ``c1 + B1 x = c2 + B2 y`` with ``x = B1' lam / (1-s)`` and ``y = -B2'
     lam / s``, where ``||x|| = ||y|| = sqrt(max f)`` at an interior
-    maximum. A certificate is returned only if its ``dual_cone_margin``
-    exceeds the margin's forward rounding error bound, a witness only if it
-    reproduces a common point up to ``WITNESS_TOL``; Indeterminate is left
-    when neither check accepts. Touching bodies intersect. The decision
-    runs on ``d`` and the shapes, each divided by a power of two (see
-    ``binary_exponent``), which is exact and keeps every norm in range, so
-    it depends neither on the pair's scale nor on how far the centres
-    outweigh the shapes or their gap.
+    maximum. A certificate w is returned only if its margin ``<w, d> -
+    ||B1'w|| - ||B2'w||`` exceeds the margin's forward rounding error
+    bound, a witness only if it reproduces a common point up to
+    ``WITNESS_TOL``; Indeterminate is left when neither check accepts.
+    Touching bodies intersect. The decision runs on ``d`` and the shapes,
+    each divided by a power of two (see ``binary_exponent``), which is
+    exact and keeps every norm in range, so it depends neither on the
+    pair's scale nor on how far the centres outweigh the shapes or their
+    gap.
     """
-    e1, e2 = _pair(e1, e2)
-    return _decide_scaled(e1.center, e2.center, e1.shape, e2.shape, (1.0,))[0][0]
-
-
-def nullspace_avoids_cone(projection, cone: CircularCone) -> NullspaceCheck:
-    """Exact test that a map's null space misses a circular cone (minus 0).
-
-    The null space meets the cone iff the axis' projection onto the null
-    space has norm at least ``cos(half_angle)``, so the test reduces to
-    one projection norm, taken from a rank-revealing SVD that also handles
-    rank-deficient maps. A trivial null space avoids every cone. The cone
-    sweep reads the same norm for every row prefix from one QR instead;
-    this function is the reference it is tested against.
-    """
-    matrix = (
-        projection.entries
-        if isinstance(projection, GaussianProjection)
-        else np.asarray(projection, dtype=float)
-    )
-    if matrix.ndim != 2:
-        raise ValueError("projection must be a matrix")
-    m, n = matrix.shape
-    if n != cone.ambient_dim:
+    e1, e2 = (e.to_ellipsoid() if isinstance(e, Ball) else e for e in (e1, e2))
+    if e1.ambient_dim != e2.ambient_dim:
         raise ValueError(
-            f"projection columns {n} do not match cone dimension {cone.ambient_dim}"
+            f"bodies must share an ambient dimension, got {e1.ambient_dim} "
+            f"and {e2.ambient_dim}"
         )
-    rank, null_norm_sq = _null_projection_sq(matrix, cone.axis)
-    gap = math.cos(cone.half_angle) - math.sqrt(null_norm_sq)
-    return NullspaceCheck(
-        avoids=rank == n or gap > 0.0, gap=gap, rank=rank, rank_deficient=rank < m
-    )
-
-
-def _null_projection_sq(matrix: np.ndarray, axis: np.ndarray) -> tuple[int, float]:
-    """Rank of the matrix and ``||P_null(axis)||^2``, by a rank-revealing SVD.
-
-    Singular values up to ``max(shape) * eps`` times the largest count as
-    zero, so a rank-deficient map has the larger null space it should.
-    """
-    svals, vt = np.linalg.svd(matrix, full_matrices=True)[1:]
-    scale = float(svals[0]) if svals.size else 0.0
-    rank = int(np.sum(svals > scale * max(matrix.shape) * np.finfo(float).eps))
-    null_component = vt[rank:] @ axis
-    return rank, float(null_component @ null_component)
+    return _decide_scaled(e1.center, e2.center, e1.shape, e2.shape, (1.0,))[0][0]

@@ -66,37 +66,54 @@ def circular_width_sq(n: int, alpha: float) -> WidthBound:
     return WidthBound(value=value, kind=CIRCULAR_CURVE_SQ)
 
 
-def _norm(a: np.ndarray, ord=None) -> float:
-    """``np.linalg.norm(a, ord)``, taken of ``a / 2**e`` and scaled back.
-
-    With ``e = binary_exponent(a)`` the squares stay in range at any
-    scale; where they already do, the value is the same.
-    """
+def _scaled_norm(a: np.ndarray, ord=None) -> tuple[float, int]:
+    """``(m, e)`` with ``np.linalg.norm(a, ord) = m * 2**e``, taken of ``a / 2**e``
+    for ``e = binary_exponent(a)``, whose squares stay in range at any scale."""
     exp = binary_exponent(a)
-    return math.ldexp(float(np.linalg.norm(np.ldexp(a, -exp), ord)), exp)
+    return float(np.linalg.norm(np.ldexp(a, -exp), ord)), exp
 
 
-def _center_line(e1: Ellipsoid, e2: Ellipsoid) -> tuple[np.ndarray, float, float, float]:
+def _norm(a: np.ndarray, ord=None) -> float:
+    """``np.linalg.norm(a, ord)``, taken of ``a / 2**e`` and scaled back."""
+    return math.ldexp(*_scaled_norm(a, ord))
+
+
+def _in_units(exp: int, *lengths: tuple[float, int]) -> list[float]:
+    """Each ``(m, e)`` length ``m * 2**e`` divided by ``2**exp``; inf where that overflows."""
+    with np.errstate(over="ignore"):
+        return [float(np.ldexp(m, e - exp)) for m, e in lengths]
+
+
+def _center_line(e1: Ellipsoid, e2: Ellipsoid):
     """Center-line geometry of two symmetric-PSD ellipsoids.
 
-    Returns the unit axis from the second center to the first, the center
-    gap ``zeta`` and the shapes' pulls ``||A1 @ axis||`` and ``||A2 @ axis||``.
+    Returns the unit axis from the second center to the first, then the
+    center gap and the shapes' pulls ``||A1 @ axis||`` and ``||A2 @ axis||``
+    as ``(m, e)`` lengths, which may lie beyond the doubles.
     """
     if not (e1.symmetric_psd and e2.symmetric_psd):
         raise ValueError("pair geometry requires symmetric PSD shape matrices")
     if e1.ambient_dim != e2.ambient_dim:
         raise ValueError("ellipsoids must share an ambient dimension")
-    gap = e1.center - e2.center
-    zeta = _norm(gap)
+    # gap * 2**half is c1 - c2, halved only where the difference overflows
+    with np.errstate(over="ignore"):
+        gap, half = e1.center - e2.center, 0
+    if not np.isfinite(gap).all():
+        gap, half = np.ldexp(e1.center, -1) - np.ldexp(e2.center, -1), 1
+    zeta, exp = _scaled_norm(gap)
     if zeta == 0.0:
         raise ValueError("ellipsoid centers coincide")
-    axis = gap / zeta
-    return axis, zeta, _norm(e1.shape @ axis), _norm(e2.shape @ axis)
+    # gap / ||gap||, both first scaled up exactly where ||gap|| underflows, or
+    # down as little as keeps it a double where it overflows
+    k = min(exp, max(exp + math.frexp(zeta)[1] - 1024, 0))
+    axis = np.ldexp(gap, -k) / math.ldexp(zeta, exp - k)
+    return axis, (zeta, exp + half), *(_scaled_norm(e.shape @ axis) for e in (e1, e2))
 
 
-def _hypothesis_not_met(kind: str, zeta: float, pull: float, std_error=None) -> WidthBound:
+def _hypothesis_not_met(kind: str, gap, pull1, pull2, std_error=None) -> WidthBound:
     """Invalid bound: the center gap does not exceed the shapes' axis pull."""
-    reason = f"center gap {zeta} does not exceed axis pull {pull}"
+    zeta, ae1, ae2 = _in_units(0, gap, pull1, pull2)
+    reason = f"center gap {zeta} does not exceed axis pull {ae1 + ae2}"
     return WidthBound(math.inf, kind, std_error, valid=False, reason=reason)
 
 
@@ -107,17 +124,22 @@ def width_bound_ellipsoids(e1: Ellipsoid, e2: Ellipsoid) -> WidthBound:
     beats the shapes' pull along the axis (``zeta > ||A1 e|| + ||A2 e||``),
     the sphere patch of the difference cone has width at most
     ``(||A1||_F + ||A2||_F) / (zeta - ||A1 e|| - ||A2 e||) + 1/sqrt(2 pi)``.
-    Otherwise the bound does not apply and ``valid`` is False.
+    Otherwise the bound does not apply and ``valid`` is False. Taken in
+    units of the gap's power of two, the bound holds at any scale.
     """
-    _, zeta, ae1, ae2 = _center_line(e1, e2)
-    return _theorem_bound(zeta, ae1, ae2, _norm(e1.shape, "fro") + _norm(e2.shape, "fro"))
+    _, gap, *pulls = _center_line(e1, e2)
+    zeta, ae1, ae2 = _in_units(gap[1], gap, *pulls)
+    if zeta - ae1 - ae2 <= 0.0:
+        return _hypothesis_not_met(ELLIPSOID_THEOREM, gap, *pulls)
+    fro1, fro2 = _in_units(gap[1], *(_scaled_norm(e.shape, "fro") for e in (e1, e2)))
+    return _theorem_bound(zeta, ae1, ae2, fro1 + fro2)
 
 
 def _theorem_bound(zeta: float, ae1: float, ae2: float, fro: float) -> WidthBound:
     """``width_bound_ellipsoids`` from the center gap, the axis pulls ``||Ai e||``
     and ``fro = ||A1||_F + ||A2||_F``."""
     if zeta - ae1 - ae2 <= 0.0:
-        return _hypothesis_not_met(ELLIPSOID_THEOREM, zeta, ae1 + ae2)
+        return _hypothesis_not_met(ELLIPSOID_THEOREM, (zeta, 0), (ae1, 0), (ae2, 0))
     return WidthBound(value=fro / (zeta - ae1 - ae2) + INV_SQRT_2PI, kind=ELLIPSOID_THEOREM)
 
 
@@ -174,9 +196,10 @@ def mc_width_pseudoprojection(
     """
     if trials < 2:
         raise ValueError(f"need at least 2 trials, got {trials}")
-    axis, zeta, ae1, ae2 = _center_line(e1, e2)
+    axis, gap, *pulls = _center_line(e1, e2)
+    zeta, ae1, ae2 = _in_units(gap[1], gap, *pulls)
     if zeta - ae1 - ae2 <= 0.0:
-        return _hypothesis_not_met(MONTE_CARLO, zeta, ae1 + ae2, std_error=math.inf)
+        return _hypothesis_not_met(MONTE_CARLO, gap, *pulls, std_error=math.inf)
     rng = substream(seed, "width-pseudoprojection")
     g = rng.standard_normal((trials, axis.shape[0]))
     g2 = g - np.outer(g @ axis, axis)
@@ -184,9 +207,13 @@ def mc_width_pseudoprojection(
     exp = binary_exponent(e1.shape, e2.shape)
     shape1, shape2 = (np.ldexp(e.shape, -exp) for e in (e1, e2))
     numerator = np.linalg.norm(g2 @ shape1.T, axis=1) + np.linalg.norm(g2 @ shape2.T, axis=1)
-    values = _positive_part_expectation_vec(numerator / math.ldexp(zeta - ae1 - ae2, -exp))
-    estimate = float(values.mean())
-    std_error = float(values.std(ddof=1) / math.sqrt(trials))
+    # past 1e154, a * a overflows and exp(-a * a / 2) is rightly 0; estimates
+    # beyond the doubles come out inf or nan
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        a = numerator / np.ldexp(zeta - ae1 - ae2, gap[1] - exp)
+        values = _positive_part_expectation_vec(a)
+        estimate = float(values.mean())
+        std_error = float(values.std(ddof=1) / math.sqrt(trials))
     return WidthBound(value=estimate, kind=MONTE_CARLO, std_error=std_error)
 
 

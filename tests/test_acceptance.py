@@ -12,7 +12,7 @@ import unittest
 
 import numpy as np
 
-from projsep.bodies import Ball, Ellipsoid, contains, project_body
+from projsep.bodies import Ball, Ellipsoid, project_body
 from projsep.classify import Dataset, run_pipeline
 from projsep.escape import plan_multiclass, required_dim_gordon, required_dim_two_balls
 from projsep.experiments import (
@@ -72,14 +72,13 @@ def planar_oracle(e1, e2, grid=1000):
         - 2.0 * (pts1 @ pts2.T)
     )
     magnitude = math.sqrt(max(float(sq.min()), 0.0))
-    hit = (
-        np.linalg.norm(np.linalg.solve(e2.shape, (pts1 - e2.center).T), axis=0).min()
-        <= 1.0
-        or np.linalg.norm(np.linalg.solve(e1.shape, (pts2 - e1.center).T), axis=0).min()
-        <= 1.0
-        or contains(e2, e1.center)
-        or contains(e1, e2.center)
-    )
+
+    def inside(body, points):
+        # some point has a preimage of norm <= 1 under the full-rank shape
+        preimages = np.linalg.solve(body.shape, (points - body.center).T)
+        return np.linalg.norm(preimages, axis=0).min() <= 1.0
+
+    hit = inside(e2, np.vstack((pts1, e1.center))) or inside(e1, np.vstack((pts2, e2.center)))
     return (INTERSECTING if hit else DISJOINT), magnitude
 
 

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -174,6 +175,47 @@ class TestExtremeScales(unittest.TestCase):
         self.assertEqual([row.split(",")[1:] for row in rows],
                          [[str(m), "2", "2", "0"] for m in range(1, 6)])
         self.assertEqual(meta["preprojection_disjoint"], [2])
+
+    def test_width_commands_on_a_gap_beyond_double_range(self):
+        # two points about 1.97e308 apart: their width bound is 1/sqrt(2 pi) at any gap
+        points = [{"center": [0.0, 0.0, 0.0], "radius": 0.0},
+                  {"center": [0.0, 1e308, 1.7e308], "radius": 0.0}]
+        with tempfile.TemporaryDirectory() as tmp:
+            pair, classes = Path(tmp) / "pair.json", Path(tmp) / "classes.json"
+            pair.write_text(json.dumps({"e1": points[0], "e2": points[1]}))
+            classes.write_text(json.dumps(points))
+            plan = Path(tmp) / "plan.json"
+            runs = {
+                "bound": run_cli(["bound", "--pair", str(pair)]),
+                "width-mc": run_cli(["width-mc", "--pair", str(pair), "--trials", "10",
+                                     "--seed", "1"]),
+                "plan": run_cli(["plan", "--classes", str(classes), "--out", str(plan)]),
+            }
+            for command, (code, _, err) in runs.items():
+                self.assertEqual(code, 0, f"{command}: {err}")
+            bound = json.loads(runs["bound"][1], parse_constant=strict_json_constant)
+            estimate = json.loads(runs["width-mc"][1], parse_constant=strict_json_constant)
+            planned = json.loads(plan.read_text(), parse_constant=strict_json_constant)
+        self.assertEqual(bound["width_bound"]["value"], 1.0 / (2.0 * math.pi) ** 0.5)
+        self.assertEqual(bound["required_m"], 13)
+        self.assertEqual(estimate["value"], bound["width_bound"]["value"])
+        self.assertEqual(estimate["std_error"], 0.0)
+        self.assertEqual(planned["m"], 8)
+
+    def test_bound_needing_more_rows_than_a_double_holds(self):
+        # disjoint along e3, with a width bound of about 2.4e300, whose square overflows
+        with tempfile.TemporaryDirectory() as tmp:
+            code, _, err = self.run_pair(
+                tmp, "bound",
+                {"center": [0.0, 1e308, -1.0],
+                 "shape": [[1e300, 0.0, 0.0], [0.0, 1e300, 0.0], [0.0, 0.0, 1e-160]]},
+                {"center": [1e-310, 1e308, 3e-300],
+                 "shape": [[1.0, 0.0, 0.0], [0.0, 1e300, 0.0], [0.0, 0.0, 1e-300]]},
+            )
+        self.assertEqual(code, 1)
+        self.assertNotIn("Traceback", err)
+        self.assertEqual([line for line in err.splitlines() if line.startswith("error:")],
+                         ["error: projection-dimension-beyond-the-doubles"])
 
 
 class TestGridRanges(unittest.TestCase):
@@ -629,8 +671,8 @@ def mostly(good, bad, odds=10):
 
 
 numbers = mostly(st.integers(-12, 12).map(lambda k: k / 4),
-                 st.sampled_from([float("nan"), float("inf"), 1e-300, 1e300, 1e308, 10**400,
-                                  None, "1"]),
+                 st.sampled_from([float("nan"), float("inf"), 5e-324, 1e-310, 1e-300, 1e300,
+                                  1e308, 1.7e308, -1e308, 10**400, None, "1"]),
                  odds=50)
 json_values = st.recursive(
     st.none() | st.booleans() | numbers | st.text(max_size=3),
@@ -641,19 +683,23 @@ json_values = st.recursive(
 )
 
 
-def bodies(n):
-    center = st.lists(numbers, min_size=n, max_size=n)
-    radius = numbers.map(lambda value: abs(value) if isinstance(value, float) else value)
+def bodies(n, values=numbers):
+    center = st.lists(values, min_size=n, max_size=n)
+    radius = values.map(lambda value: abs(value) if isinstance(value, float) else value)
     diagonal = st.lists(radius, min_size=n, max_size=n).map(
         lambda d: [[d[i] if i == j else 0.0 for j in range(n)] for i in range(n)])
     columns = st.integers(0, n + 1).flatmap(lambda k: st.lists(
-        st.lists(numbers, min_size=k, max_size=k), min_size=n, max_size=n))
+        st.lists(values, min_size=k, max_size=k), min_size=n, max_size=n))
     body = st.fixed_dictionaries({"center": center, "radius": radius}) \
         | st.fixed_dictionaries({"center": center, "shape": diagonal | columns})
     return mostly(body, json_values)
 
 
 BODIES = [bodies(n) for n in range(5)]
+# pairs whose every entry is 0, -1, 1 or near an end of the double range
+ends = st.sampled_from([0.0, 1.0, -1.0, 5e-324, 1e-310, 1e-300, 1e300, 1e308, 1.7e308, -1e308])
+extreme_pairs = st.integers(1, 3).flatmap(
+    lambda n: st.fixed_dictionaries({"e1": bodies(n, ends), "e2": bodies(n, ends)}))
 dims = mostly(st.integers(1, 3), st.integers(0, 4))
 pairs = mostly(dims.flatmap(lambda n: st.fixed_dictionaries({"e1": BODIES[n], "e2": BODIES[n]})),
                json_values)
@@ -724,6 +770,24 @@ class TestEveryInputExits(unittest.TestCase):
                 code, _, err = run_cli(self.draw_argv(data, command, flags, Path(tmp)))
             self.assertIn(code, (0, 1, 2), err)
             self.assertNotIn("Traceback", err)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(extreme_pairs)
+    def test_width_commands_at_both_ends_of_the_double_range(self, pair):
+        with tempfile.TemporaryDirectory() as tmp:
+            path, classes, plan = (Path(tmp) / name for name in ("pair", "classes", "plan"))
+            path.write_text(json.dumps(pair))
+            classes.write_text(json.dumps([pair["e1"], pair["e2"]]))
+            for argv in (["bound", "--pair", str(path)],
+                         ["width-mc", "--pair", str(path), "--trials", "3", "--seed", "1"],
+                         ["plan", "--classes", str(classes), "--out", str(plan)]):
+                code, text, err = run_cli(argv)
+                self.assertIn(code, (0, 1), err)
+                self.assertNotIn("Traceback", err)
+                if code == 0 and argv[0] != "plan":
+                    json.loads(text, parse_constant=strict_json_constant)
+            if plan.exists():
+                json.loads(plan.read_text(), parse_constant=strict_json_constant)
 
     def draw_argv(self, data, command, flags, tmp):
         argv = [command, "--out", str(tmp / "out")]

@@ -10,7 +10,7 @@ import numpy as np
 
 from projsep import experiments
 from projsep._rng import substream
-from projsep.bodies import CircularCone, Ellipsoid
+from projsep.bodies import Ellipsoid, GaussianProjection
 from projsep.experiments import (
     CONE_KIND,
     ELLIPSOID_GENERAL_KIND,
@@ -28,7 +28,6 @@ from projsep.separation import (
     INDETERMINATE,
     _decide_scaled,
     decide_disjoint,
-    nullspace_avoids_cone,
 )
 from test_separation import assert_checked
 
@@ -36,16 +35,27 @@ from test_separation import assert_checked
 SEEDS = (0, 1, 2)
 
 
+def null_axis_norm(matrix, axis):
+    """Length of the axis' projection onto the null space of ``matrix``; 0 if it is trivial."""
+    from scipy.linalg import null_space  # here, so that collecting the tests loads no scipy
+
+    return np.linalg.norm(null_space(matrix).T @ axis)
+
+
 def cone_reference(n, alphas, ms, trials, seed):
-    """Cone-sweep cells counted with ``nullspace_avoids_cone`` on each prefix."""
+    """Cone-sweep cells, each prefix's null space tested on its own.
+
+    The null space misses the cone of half-angle alpha about the axis iff
+    the axis' projection onto it is shorter than ``cos(alpha)``.
+    """
     axis = np.eye(n)[0]
     counts = np.zeros((len(alphas), len(ms)), dtype=np.int64)
     for t in range(trials):
         matrix = substream(seed, CONE_KIND, t).standard_normal((ms[-1], n))
-        for i, alpha in enumerate(alphas):
-            for j, m in enumerate(ms):
-                check = nullspace_avoids_cone(matrix[:m], CircularCone(axis, alpha))
-                counts[i, j] += bool(check)
+        for j, m in enumerate(ms):
+            norm = null_axis_norm(matrix[:m], axis)
+            for i, alpha in enumerate(alphas):
+                counts[i, j] += norm < math.cos(alpha)
     return counts
 
 
@@ -135,6 +145,31 @@ class TestRunConePhase(unittest.TestCase):
             run_cone_phase(10, [0.3], [5, 5], trials=2, seed=0)
         with self.assertRaises(ValueError):
             run_cone_phase(10, [0.3], [5, 11], trials=2, seed=0)
+
+
+class TestConeReference(unittest.TestCase):
+    def test_monte_carlo_oracle(self):
+        # brute force: sample the kernel sphere densely and check whether
+        # any kernel direction makes the cone angle with the axis
+        from scipy.linalg import null_space
+
+        rng = np.random.default_rng(10)
+        n, alpha = 6, np.pi / 4
+        axis = np.eye(n)[0]
+
+        decided = 0
+        for seed in range(30):
+            matrix = GaussianProjection(3, n, seed=seed).entries
+            kernel = null_space(matrix)
+            u = rng.standard_normal((200_000, kernel.shape[1]))
+            u /= np.linalg.norm(u, axis=1, keepdims=True)
+            best_cos = (u @ (kernel.T @ axis)).max()
+            if abs(best_cos - np.cos(alpha)) < 1e-2:
+                continue
+            decided += 1
+            avoids = null_axis_norm(matrix, axis) < np.cos(alpha)
+            self.assertEqual(avoids, bool(best_cos < np.cos(alpha)))
+        self.assertGreaterEqual(decided, 25)
 
 
 class TestSampleWishartShape(unittest.TestCase):

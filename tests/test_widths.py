@@ -157,6 +157,14 @@ class TestExtremeScales(unittest.TestCase):
                                 got.reason, f"center gap {s} does not exceed axis pull {2 * s}"
                             )
 
+    def test_reason_names_a_pull_beyond_the_gap_times_the_doubles(self):
+        # the pull is 1e310 times the gap: only their ratio leaves the doubles
+        e1 = Ellipsoid([0.0, 0.0], np.diag([1e290, 1.0]))
+        e2 = Ellipsoid([1e-20, 0.0], np.zeros((2, 2)))
+        for bound in self.bounds(e1, e2):
+            self.assertFalse(bound.valid)
+            self.assertEqual(bound.reason, "center gap 1e-20 does not exceed axis pull 1e+290")
+
     def test_rounded_symmetric_shape_keeps_its_bound(self):
         # Q diag(1, 2, 3, 4) Q' is symmetric only to rounding, 1.1e-16 of its size
         q, _ = np.linalg.qr(np.random.default_rng(5).standard_normal((4, 4)))
