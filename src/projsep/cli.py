@@ -193,7 +193,10 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     if args.out:
         _emit(plan.to_dict(), args.out)
     if not plan.feasible:
-        print(f"error: {THEOREM_HYPOTHESIS_REASON}", file=sys.stderr)
+        # the first pair without a dimension says why
+        pair = next(pair for pair in plan.pairs if pair.m_required is None)
+        reason = _slug(pair.bound.reason) if pair.bound.valid else THEOREM_HYPOTHESIS_REASON
+        print(f"error: {reason}", file=sys.stderr)
         return 1
     return 0
 

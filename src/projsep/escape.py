@@ -10,7 +10,7 @@ two balls (``required_dim_two_balls``) or many classes (``plan_multiclass``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 
 from .bodies import Ball, Ellipsoid, difference_cone
@@ -73,8 +73,9 @@ class MultiClassPlan:
     """Projection-dimension plan covering every class pair.
 
     The failure budget p is split evenly over the C(K,2) pairs; ``m`` is
-    the max per-pair requirement, or None when some pair's width bound
-    does not apply (``feasible`` False).
+    the max per-pair requirement, or None when some pair has none: its
+    width bound does not apply, or its dimension is beyond the doubles
+    (``feasible`` False).
     """
 
     n_classes: int
@@ -95,7 +96,8 @@ class MultiClassPlan:
     def render_table(self) -> str:
         rows = [("pair", "width", "eta", "M")]
         for pair in self.pairs:
-            width = f"{pair.bound.value:.5f}" if pair.bound.valid else "invalid"
+            value = pair.bound.value
+            width = (f"{value:.5f}" if value < 1e6 else f"{value:.5e}") if pair.bound.valid else "invalid"
             m_text = str(pair.m_required) if pair.m_required is not None else "-"
             rows.append((f"{pair.first}-{pair.second}", width, f"{pair.eta:.6g}", m_text))
         cols = [max(len(row[i]) for row in rows) for i in range(4)]
@@ -110,8 +112,9 @@ def plan_multiclass(ellipsoids: list[Ellipsoid], p: float) -> MultiClassPlan:
 
     Splits the failure budget as ``eta_ij = p / C(K,2)`` and takes the max
     of per-pair dimension requirements. Pairs whose width bound does not
-    apply are kept in the table with ``m_required`` None and mark the plan
-    infeasible.
+    apply, or whose dimension is beyond the doubles (the bound then keeps
+    its value and says so in its ``reason``), are kept in the table with
+    ``m_required`` None and mark the plan infeasible.
     """
     k = len(ellipsoids)
     if k < 2:
@@ -128,7 +131,12 @@ def plan_multiclass(ellipsoids: list[Ellipsoid], p: float) -> MultiClassPlan:
             bound = WidthBound(
                 value=math.inf, kind=ELLIPSOID_THEOREM, valid=False, reason=str(exc)
             )
-        m_required = required_dim_gordon(bound.value, eta) if bound.valid else None
+        m_required = None
+        if bound.valid:
+            try:
+                m_required = required_dim_gordon(bound.value, eta)
+            except ValueError as exc:
+                bound = replace(bound, reason=str(exc))
         pairs.append(PairPlan(first=i, second=j, bound=bound, eta=eta, m_required=m_required))
     feasible = all(pair.m_required is not None for pair in pairs)
     m = max(pair.m_required for pair in pairs) if feasible else None

@@ -25,7 +25,7 @@ import numpy as np
 
 from ._rng import substream
 from .bodies import CircularCone
-from .separation import DISJOINT, INDETERMINATE, _decide_scaled
+from .separation import DISJOINT, INDETERMINATE, _decide_stack
 from .widths import _axis_pair_bounds
 
 CSV_HEADER = ("param", "M", "trials", "successes", "indeterminate")
@@ -181,27 +181,33 @@ def run_ellipsoid_phase(
     shared by every gap and M. The shapes are centered at ``+/- zeta/2``
     along the first coordinate and projected by the matrix's first M rows,
     which are the first M rows of the matrix's images of the shapes and
-    of the axis, formed once per trial. Success is a step in M (a common
-    point under M + 1 rows is one under the first M), so bisection over
-    ``ms`` finds each gap's least M certified disjoint, ``M*``. The gaps
-    share one bisection: each keeps its own bracket, the midpoint of the
-    widest open bracket is probed, and one decision serves every gap whose
+    of the axis. Every trial is drawn first, in trial order, and only
+    those images are kept. Success is a step in M (a common point under
+    M + 1 rows is one under the first M), so bisection over ``ms`` finds
+    each gap's least M certified disjoint, ``M*``. A trial's gaps share
+    one bisection: each keeps its own bracket, the midpoint of the widest
+    open bracket is probed, and one decision serves every gap whose
     bracket holds that probe, since at one prefix the gaps differ only in
-    the scale of the centres (the dual function scales as ``zeta**2``). An
-    Indeterminate verdict is a failure, tallied in the probed cell where
-    it was decided.
+    the scale of the centres (the dual function scales as ``zeta**2``).
+    The trials' bisections advance in lockstep, one step at a time, and
+    at each step the trials that probe the same M are decided as one
+    stack (``separation._decide_stack``), which shares the SVD and
+    ``eigh`` calls and gives each trial the verdicts it would get alone.
+    An Indeterminate verdict is a failure, tallied in the probed cell
+    where it was decided.
 
-    Unprojected pairs are never prefiltered; their status (one decision
-    per trial for every gap) and the mean squared width bound per gap,
-    from shapes validated once per trial, are recorded in ``meta``. So are
-    ``m_star``, per gap: the mean and standard error of ``M*`` over the
-    trials that have one, its histogram over ``ms`` and the count of
-    trials disjoint at no M of the grid; and ``decisions``: the calls of
-    the decision, the decompositions of ``[B1 B2]`` they took and the
-    per-gap verdicts they gave.
+    Unprojected pairs are never prefiltered; their status (one stack of
+    every trial, deciding every gap) and the mean squared width bound per
+    gap, from shapes validated once per trial, are recorded in ``meta``.
+    So are ``m_star``, per gap: the mean and standard error of ``M*`` over
+    the trials that have one, its histogram over ``ms`` and the count of
+    trials disjoint at no M of the grid; and ``decisions``: the pairs
+    decided (``calls``, one per trial and probe), the decompositions of
+    ``[B1 B2]`` they took and the per-gap verdicts they gave.
 
     ``max_iter`` is accepted and ignored: the decision is exact and has no
-    iteration cap. The keyword remains for callers that still pass it.
+    iteration cap. The keyword remains because callers still pass it, the
+    benchmark harness among them (``max_iter=4000``).
     """
     if n < 2:
         raise ValueError(f"ambient dimension must be >= 2, got {n}")
@@ -220,21 +226,20 @@ def run_ellipsoid_phase(
     axis[0] = 1.0
     constrained = axis if variant == "hyperplane" else None
     gaps = np.array(zetas)
-    successes = np.zeros((len(zetas), len(ms)), dtype=np.int64)
-    indet = np.zeros_like(successes)
-    # least_counts[i, j]: trials whose least disjoint prefix is ms[j]; j = len(ms): none
-    least_counts = np.zeros((len(zetas), len(ms) + 1), dtype=np.int64)
-    preproj = np.zeros(len(zetas), dtype=np.int64)
+    indet = np.zeros((len(zetas), len(ms)), dtype=np.int64)
     bound_sq = [[] for _ in zetas]
     decisions = {"calls": 0, "decompositions": 0, "verdicts": 0}
 
-    def decide(center, shape1, shape2, scales) -> np.ndarray:
-        verdicts, decomposed = _decide_scaled(center, -center, shape1, shape2, scales)
-        decisions["calls"] += 1
-        decisions["decompositions"] += decomposed
-        decisions["verdicts"] += len(verdicts)
-        return np.array([v.state for v in verdicts])
+    def decide(centers, shapes1, shapes2, probed) -> np.ndarray:
+        stack = _decide_stack(centers, -centers, shapes1, shapes2, gaps, probed)
+        decisions["calls"] += len(probed)
+        decisions["decompositions"] += int(stack.decomposed.sum())
+        decisions["verdicts"] += int(probed.sum())
+        return stack.states
 
+    halves = np.empty((trials, ms[-1]))
+    images1, images2 = np.empty((trials, ms[-1], n)), np.empty((trials, ms[-1], n))
+    shapes = []
     for t in range(trials):
         rng = substream(seed, kind, t)
         shape1 = sample_wishart_shape(n, rng, constrained_axis=constrained)
@@ -243,28 +248,40 @@ def run_ellipsoid_phase(
         for i, bound in enumerate(_axis_pair_bounds(shape1, shape2, axis, zetas)):
             if bound is not None and bound.valid:
                 bound_sq[i].append(bound.value**2)
-        if variant == "hyperplane":
-            # parallel hyperplanes <z, axis> = +/- zeta/2 are disjoint
-            preproj += gaps > 0.0
-        else:
-            preproj += decide(0.5 * axis, shape1, shape2, gaps) == DISJOINT
-        half = 0.5 * (matrix @ axis)
-        image1, image2 = matrix @ shape1, matrix @ shape2
-        # each gap's least disjoint index of ms lies in [lo, hi]; len(ms): none
-        lo = np.zeros(len(zetas), dtype=np.int64)
-        hi = np.full(len(zetas), len(ms))
-        while np.any(lo < hi):
-            widest = int(np.argmax(hi - lo))
-            mid = (lo[widest] + hi[widest] - 1) // 2
-            probed = np.flatnonzero((lo <= mid) & (mid < hi))
+        if variant == "general":
+            shapes.append((shape1, shape2))
+        halves[t] = 0.5 * (matrix @ axis)
+        images1[t], images2[t] = matrix @ shape1, matrix @ shape2
+    if variant == "hyperplane":
+        # parallel hyperplanes <z, axis> = +/- zeta/2 are disjoint
+        preproj = trials * (gaps > 0.0)
+    else:
+        shapes1, shapes2 = (np.array(pair) for pair in zip(*shapes))
+        centers = np.broadcast_to(0.5 * axis, (trials, n))
+        preproj = np.sum(decide(centers, shapes1, shapes2, np.ones((trials, len(zetas)), bool))
+                         == DISJOINT, axis=0)
+    # each trial's and gap's least disjoint index of ms lies in [lo, hi]; len(ms): none
+    lo = np.zeros((trials, len(zetas)), dtype=np.int64)
+    hi = np.full((trials, len(zetas)), len(ms))
+    while True:
+        live = np.flatnonzero(np.any(lo < hi, axis=1))
+        if not live.size:
+            break
+        widest = np.argmax(hi[live] - lo[live], axis=1)
+        mids = (lo[live, widest] + hi[live, widest] - 1) // 2
+        for mid in np.unique(mids).tolist():
+            group = live[mids == mid]
+            probed = (lo[group] <= mid) & (mid < hi[group])
             m = ms[mid]
-            states = decide(half[:m], image1[:m], image2[:m], gaps[probed])
+            states = decide(halves[group, :m], images1[group, :m], images2[group, :m], probed)
             disjoint = states == DISJOINT
-            hi[probed[disjoint]] = mid
-            lo[probed[~disjoint]] = mid + 1
-            indet[probed, mid] += states == INDETERMINATE
-        successes += np.arange(len(ms)) >= lo[:, None]
-        least_counts[np.arange(len(zetas)), lo] += 1
+            hi[group] = np.where(probed & disjoint, mid, hi[group])
+            lo[group] = np.where(probed & ~disjoint, mid + 1, lo[group])
+            indet[:, mid] += np.sum(states == INDETERMINATE, axis=0)
+    successes = np.sum(np.arange(len(ms)) >= lo[:, :, None], axis=0)
+    # least_counts[i, j]: trials whose least disjoint prefix is ms[j]; j = len(ms): none
+    least_counts = np.zeros((len(zetas), len(ms) + 1), dtype=np.int64)
+    np.add.at(least_counts, (np.arange(len(zetas)), lo), 1)
     meta = _base_meta(kind, n, seed, trials)
     meta.update(
         {

@@ -8,16 +8,22 @@ turns that into one concave function of ``s`` (Gilitschenski and Hanebeck,
 2012): the bodies are disjoint iff ``f(s) = sum_i v_i^2 s(1-s) / (mu_i s +
 (1-mu_i)(1-s))`` exceeds 1 somewhere on [0, 1]. Scaling both centres by
 t scales the ``v_i`` by t and f by ``t**2``, so one whitening and one
-maximization decide the pair at every such scale; the ellipsoid sweep
-decides all its center gaps at one projected dimension that way. Every
-verdict is checked before it is returned.
+maximization decide the pair at every such scale. The one solver,
+``_decide_stack``, decides a stack of pairs that share a row count, each
+at its own open scales, with one stacked SVD, one stacked ``eigh`` per
+rank and array operations for the rest, and gives every pair, bit for
+bit, the verdicts it gets as a stack of one. The ellipsoid sweep stacks
+the trials that probe the same projected dimension at one step of their
+bisections, with a trial's center gaps as the scales; ``decide_disjoint``
+is a stack of one pair at the scale 1. Every verdict is checked before
+it is returned.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from itertools import count
 
 import numpy as np
 
@@ -68,19 +74,44 @@ class SeparationVerdict:
         }
 
 
-def _rounding_slack(d: np.ndarray, b1: np.ndarray, b2: np.ndarray, factors) -> list[float]:
+def _dot(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``a @ v`` for each pair of a stack: ``a`` is (..., p, q) and ``v`` (..., q)."""
+    return (a @ v[..., None])[..., 0]
+
+
+def _norm(v: np.ndarray) -> np.ndarray:
+    """Euclidean norm over the last axis."""
+    return np.sqrt((v * v).sum(axis=-1))
+
+
+def _scale(a: np.ndarray, exps: np.ndarray) -> np.ndarray:
+    """``a`` times ``2**e`` in place, one exponent per pair (the first axis), rounded once.
+
+    That is ``np.ldexp``; where every ``2**e`` is a double, the product by
+    it rounds the same way and is much faster.
+    """
+    exps = exps.reshape(exps.shape + (1,) * (a.ndim - 1))
+    factors = np.ldexp(1.0, exps)
+    if np.all((factors > 0.0) & (factors < math.inf)):
+        return np.multiply(a, factors, out=a)
+    return np.ldexp(a, exps, out=a)
+
+
+def _rounding_slack(kappa, gap, fro1, fro2, tcs, rs) -> np.ndarray:
     """Bounds on the rounding error of ``t <w, d> - r ||B1'w|| - r ||B2'w||``.
 
-    One bound per factor pair ``(t, r)``, each valid for every unit ``w``.
-    A pair of a scaled family, divided by its own power of two, has centres
-    t times the family's, whose difference d is rounded from ``c2 - c1``,
-    and shapes r times ``B1`` and ``B2``, where r is a power of two, so the
-    products by r are exact; a single pair has ``t = r = 1``. A length-n
-    dot product errs by at most ``n u |x|'|y|`` (``u = 2**-53``, to first
-    order), whatever the order of summation, and for a unit w, ``|w|'|d|
-    <= ||d||`` and ``|| |B|'|w| || <= ||B||_F``. With ``size = t ||d|| + r
-    ||B1||_F + r ||B2||_F`` and r' the larger column count, the first-order
-    errors, in units of u, are:
+    One bound per pair of a stack and factor pair ``(t, r)`` (the arrays
+    ``tcs`` and ``rs``), each valid for every unit ``w``; ``gap``,
+    ``fro1`` and ``fro2`` are each pair's ``||d||``, ``||B1||_F`` and
+    ``||B2||_F``. A pair of a scaled family, divided by its own power of
+    two, has centres t times the family's, whose difference d is rounded
+    from ``c2 - c1``, and shapes r times ``B1`` and ``B2``, where r is a
+    power of two, so the products by r are exact; a single pair has ``t =
+    r = 1``. A length-n dot product errs by at most ``n u |x|'|y|`` (``u =
+    2**-53``, to first order), whatever the order of summation, and for a
+    unit w, ``|w|'|d| <= ||d||`` and ``|| |B|'|w| || <= ||B||_F``. With
+    ``size = t ||d|| + r ||B1||_F + r ||B2||_F`` and r' the larger column
+    count, the first-order errors, in units of u, are:
 
     - ``n + 2`` times ``t ||d||`` for ``t <w, d>``: n for the dot product,
       one for rounding d and one for the product by t (exact when t is a
@@ -94,206 +125,326 @@ def _rounding_slack(d: np.ndarray, b1: np.ndarray, b2: np.ndarray, factors) -> l
     and the norm terms ``n + r'/2 + 3``, and ``kappa = n + r' + 4`` covers
     every term with at least one u to spare for the second-order ones.
     """
-    kappa = d.size + max(b1.shape[1], b2.shape[1]) + 4
-    gap, fro1, fro2 = (float(np.linalg.norm(a)) for a in (d, b1, b2))
-    return [math.ldexp(kappa * (t * gap + r * fro1 + r * fro2), -53) for t, r in factors]
+    return np.ldexp(kappa * (tcs * gap[:, None] + rs * fro1[:, None] + rs * fro2[:, None]), -53)
 
 
-def _weights(mu: np.ndarray, s: float) -> tuple[np.ndarray, np.ndarray]:
+def _weights(mu: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``s`` and ``1 - s`` over ``mu s + (1 - mu)(1 - s)``, per coordinate.
 
-    Coordinates where body 1 (``mu = 0``) or body 2 (``mu = 1``) is flat
-    take their limits, so ``s`` may be an endpoint of [0, 1].
+    One row per pair, each at its own ``s``. Coordinates where body 1
+    (``mu = 0``) or body 2 (``mu = 1``) is flat take their limits, so
+    ``s`` may be an endpoint of [0, 1].
     """
+    s = s[:, None]
     flat1, flat2 = mu == 0.0, mu == 1.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        den = mu * s + (1.0 - mu) * (1.0 - s)
-        a = np.where(flat1, 0.0, np.where(flat2, 1.0, s / den))
-        b = np.where(flat2, 0.0, np.where(flat1, 1.0, (1.0 - s) / den))
+    den = mu * s + (1.0 - mu) * (1.0 - s)
+    a = np.where(flat1, 0.0, np.where(flat2, 1.0, s / den))
+    b = np.where(flat2, 0.0, np.where(flat1, 1.0, (1.0 - s) / den))
     return a, b
 
 
-def _maximize(mu: np.ndarray, v2: np.ndarray, level: float) -> tuple[float, float, int]:
-    """Maximizer ``s`` of the concave ``f`` on [0, 1], or an ``s`` with ``f(s) > level``.
+def _maximize(mu: np.ndarray, v2: np.ndarray, level: np.ndarray):
+    """Per row, the maximizer ``s`` of the concave ``f`` on [0, 1], or an ``s`` with ``f(s) > level``.
 
-    Returns ``(s, f(s), evaluations)``. The sign of ``f'`` at each endpoint
-    settles the flat-body cases in closed form; otherwise a bracketed
-    Newton iteration on ``f'`` runs until ``f > level``, ``f'`` vanishes,
-    the Newton step no longer moves ``s``, or the bracket holds no float.
+    Returns the arrays ``(s, f(s), evaluations)``. The sign of ``f'`` at
+    each endpoint settles the flat-body cases in closed form; a flat
+    coordinate's term is a zero in its place, so every row sums all its
+    entries. The other rows run a bracketed Newton iteration on ``f'`` in
+    lockstep: each step sums f, ``f'`` and ``f''`` for every row at once,
+    then moves each row's own bracket, until its ``f > level``, its ``f'``
+    vanishes, its Newton step no longer moves ``s``, or its bracket holds
+    no float.
     """
     flat1, flat2 = mu == 0.0, mu == 1.0
-    if (v2[~flat2] / (1.0 - mu[~flat2])).sum() <= v2[flat2].sum():
-        return 0.0, float(v2[flat2].sum()), 1
-    if (v2[~flat1] / mu[~flat1]).sum() <= v2[flat1].sum():
-        return 1.0, float(v2[flat1].sum()), 1
     rest = 1.0 - mu
+    f0, f1 = np.where(flat2, v2, 0.0).sum(axis=-1), np.where(flat1, v2, 0.0).sum(axis=-1)
+    at0 = np.where(flat2, 0.0, v2 / rest).sum(axis=-1) <= f0
+    at1 = ~at0 & (np.where(flat1, 0.0, v2 / mu).sum(axis=-1) <= f1)
+    s, f = np.where(at0, 0.0, np.where(at1, 1.0, 0.5)), np.where(at0, f0, f1)
+    evaluations = np.ones(len(mu), dtype=np.int64)
     spread = v2 * mu * rest
-    lo, hi, s = 0.0, 1.0, 0.5
-    for evaluations in count(1):
-        den = mu * s + rest * (1.0 - s)
-        f = s * (1.0 - s) * float((v2 / den).sum())
-        slope = float((v2 * (rest * (1.0 - s) ** 2 - mu * s * s) / den**2).sum())
-        if f > level or slope == 0.0:
+    levels = level.tolist()
+    brackets = {j: (0.0, 1.0) for j in np.flatnonzero(~(at0 | at1)).tolist()}
+    for count in itertools.count(1):
+        if not brackets:
             return s, f, evaluations
-        if slope > 0.0:
-            lo = s
-        else:
-            hi = s
-        curvature = -2.0 * float((spread / den**3).sum())
-        step = s - slope / curvature if curvature < 0.0 else 0.5 * (lo + hi)
-        if step == s:
-            return s, f, evaluations
-        following = step if lo < step < hi else 0.5 * (lo + hi)
-        if not lo < following < hi:
-            return s, f, evaluations
-        s = following
-
-
-def _decide_scaled(c1, c2, b1, b2, scales) -> tuple[list[SeparationVerdict], bool]:
-    """Decide the pairs ``(t c1, t c2, B1, B2)`` for several scales ``t >= 0`` at once.
-
-    Scaling both centres by t scales d and its whitened coordinates by t,
-    so ``f_t(s) = t**2 f_1(s)``, and the pair at scale t is disjoint iff
-    ``max f_1 > 1 / t**2``. One decomposition of ``[B1 B2]`` and one
-    maximization of ``f_1``, which stops once ``f_1`` exceeds ``1 /
-    t_min**2`` for the least scale still open, serve every scale. A
-    direction w certifies each scale whose margin ``t <w, d> - ||B1'w|| -
-    ||B2'w||`` exceeds that scale's ``_rounding_slack``, and the witness at
-    the maximizer is ``(t x_1, t y_1)``, checked for each scale on its own
-    pair. Only ``d = c2 - c1`` and the shapes enter, and d is formed before
-    anything is scaled, so centres far larger than their gap keep it. Each
-    pair is judged divided by its own power of two, as ``decide_disjoint``
-    divides a pair, so no scale's norms leave the range of doubles. The
-    products ``t d`` count as exact. With the single scale 1, this is
-    ``decide_disjoint``.
-
-    Returns one verdict per scale, in order, and whether ``[B1 B2]`` was
-    decomposed, which it is unless the centre line certifies every scale.
-    """
-    scales = [float(t) for t in scales]
-    if not all(0.0 <= t < math.inf for t in scales):
-        raise ValueError("scales must be finite and >= 0")
-    reach_c, reach_b = (
-        max(float(np.abs(a).max(initial=0.0)) for a in pair) for pair in ((c1, c2), (b1, b2))
-    )
-    if not max(scales, default=0.0) * reach_c < math.inf:
-        raise ValueError("scaled centres overflow")
-    # d * 2**half is c2 - c1, halved only where the difference overflows; the
-    # halving then loses bits below 2**-1074, far under the rounding of d
-    if reach_c < 2.0**1023:
-        d, half = c2 - c1, 0
-    else:
-        with np.errstate(over="ignore"):
-            d, half = c2 - c1, 0
-        if not np.isfinite(d).all():
-            d, half = np.ldexp(c2, -1) - np.ldexp(c1, -1), 1
-    # d in units of 2**shift, the shapes in units of 2**base (zero shapes in
-    # the least double's, d = 0 in the shapes'); at scale t the pair divided
-    # by its 2**exp is (tc d, r B1, r B2) up to translation, and its f is
-    # ratio**2 = (tc / r)**2 times that of (d, B1, B2)
-    reach_d = float(np.abs(d).max(initial=0.0))
-    base = math.frexp(reach_b or math.ulp(0.0))[1]
-    shift = math.frexp(reach_d)[1] + half if reach_d > 0.0 else base
-    d = np.ldexp(d, half - shift)
-    b1, b2 = np.ldexp(b1, -base), np.ldexp(b2, -base)
-    top = math.ldexp(reach_d, half - shift)
-    exps = [max(shift + math.frexp(t * top)[1], base) if t * top > 0.0 else base for t in scales]
-    tcs = [math.ldexp(t, shift - exp) for t, exp in zip(scales, exps)]
-    rs = [math.ldexp(1.0, base - exp) for exp in exps]
-    slacks = _rounding_slack(d, b1, b2, zip(tcs, rs))
-    verdicts: list[SeparationVerdict | None] = [None] * len(scales)
-
-    def certify(direction: np.ndarray, candidates, evaluations: int) -> list[int]:
-        """Disjoint, with the unit direction as certificate, for each candidate
-        scale whose margin exceeds its slack; returns the scales still open.
-
-        A margin within ``_rounding_slack`` of zero proves nothing, so those
-        scales go on to the witness path, where touching bodies intersect.
-        """
-        length = float(np.linalg.norm(direction))
-        if not length > 0.0:
-            return list(candidates)
-        w = direction / length
-        along = float(w @ d)
-        reach1, reach2 = (float(np.linalg.norm(b.T @ w)) for b in (b1, b2))
-        left = []
-        for i in candidates:
-            scaled = tcs[i] * along
-            margin = scaled - rs[i] * reach1 - rs[i] * reach2
-            if margin > slacks[i]:
-                try:
-                    unscaled = math.ldexp(margin, exps[i])
-                except OverflowError:
-                    unscaled = math.inf
-                verdicts[i] = SeparationVerdict(
-                    state=DISJOINT,
-                    margin=unscaled,
-                    norm=scaled / (scaled - margin) if scaled > margin else math.inf,
-                    iterations=evaluations,
-                    certificate=w,
-                )
+        col = s[:, None]
+        pull, other = mu * col, 1.0 - col
+        den = pull + rest * other
+        square = den * den
+        totals = (v2 / den).sum(axis=-1).tolist()
+        slopes = (v2 * (rest * other**2 - pull * col) / square).sum(axis=-1).tolist()
+        bends = (spread / (square * den)).sum(axis=-1).tolist()
+        now = s.tolist()
+        for j, (lo, hi) in list(brackets.items()):
+            x, slope = now[j], slopes[j]
+            f[j] = value = x * (1.0 - x) * totals[j]
+            evaluations[j] = count
+            del brackets[j]
+            if value > levels[j] or slope == 0.0:
+                continue
+            if slope > 0.0:
+                lo = x
             else:
-                left.append(i)
-        return left
+                hi = x
+            curvature = -2.0 * bends[j]
+            step = x - slope / curvature if curvature < 0.0 else 0.5 * (lo + hi)
+            if step == x:
+                continue
+            following = step if lo < step < hi else 0.5 * (lo + hi)
+            if lo < following < hi:
+                s[j], brackets[j] = following, (lo, hi)
 
-    undecided = certify(d, range(len(scales)), 0)
-    if not undecided:
-        return verdicts, False
-    # a scale still open has t |d| within a small factor of |B|, or d = 0: its ratio is in range
-    ratios = {i: math.ldexp(scales[i], shift - base) for i in undecided}
-    # [B1 B2] = U diag(sigma) [P1 P2] whitens S1 + S2 = U diag(sigma^2) U' on
-    # its range without squaring its condition number, as eigh(S1 + S2) would
-    both = np.hstack((b1, b2))
-    basis, sigma, rows = np.linalg.svd(both, full_matrices=False)
-    rank = int(np.sum(sigma > sigma[:1] * max(both.shape) * np.finfo(float).eps))
-    basis, sigma, rows = basis[:, :rank], sigma[:rank], rows[:rank]
-    undecided = certify(d - basis @ (basis.T @ d), undecided, 0)
-    if not undecided:
-        return verdicts, True
-    p1, p2 = rows[:, : b1.shape[1]], rows[:, b1.shape[1] :]
-    mu, rotation = np.linalg.eigh(p1 @ p1.T)
-    mu = np.where(mu < FLAT_TOL, 0.0, np.where(mu > 1.0 - FLAT_TOL, 1.0, mu))
-    coords = rotation.T @ ((basis.T @ d) / sigma)
-    least = min(ratios[i] for i in undecided)
-    least *= least
-    level = 1.0 / least if least > 0.0 else math.inf
-    s, f, evaluations = _maximize(mu, coords**2, level)
-    beyond = [i for i in undecided if ratios[i] * ratios[i] * f > 1.0]
-    if beyond:
+
+class _Stack:
+    """Pairs that share a row count, each at several centre scales, being decided.
+
+    Pair p at scale t is ``(t c1[p], t c2[p], b1[p], b2[p])``. Each pair
+    is held divided by its own power of two, as ``decide_disjoint``
+    divides a pair, so no scale's norms leave the range of doubles: d in
+    units of ``2**shift``, the shapes in units of ``2**base`` (zero shapes
+    in the least double's, d = 0 in the shapes'). At scale t the pair
+    divided by its ``2**exp`` is ``(tc d, r B1, r B2)`` up to translation,
+    and its f is ``ratio**2 = (tc / r)**2`` times that of ``(d, B1, B2)``.
+    The products ``t d`` count as exact. ``states`` holds each open
+    scale's verdict state as it is decided, and None where not open.
+    """
+
+    def __init__(self, c1, c2, b1, b2, scales, open_) -> None:
+        c1, c2, b1, b2, scales = (np.asarray(a, dtype=float) for a in (c1, c2, b1, b2, scales))
+        (k, m), n1, n2 = c1.shape, b1.shape[-1], b2.shape[-1]
+        shape = (k, scales.shape[-1])
+        self.open = np.ones(shape, bool) if open_ is None else np.asarray(open_, dtype=bool)
+        if not (scales.min(initial=0.0) >= 0.0 and scales.max(initial=0.0) < math.inf):
+            raise ValueError("scales must be finite and >= 0")
+        reach_c = np.maximum(np.abs(c1), np.abs(c2)).max(axis=-1, initial=0.0)
+        if not np.all(scales.max(axis=-1, initial=0.0) * reach_c < math.inf):
+            raise ValueError("scaled centres overflow")
+        d = c2 - c1
+        # d * 2**half is c2 - c1, halved only where the difference overflows; the
+        # halving then loses bits below 2**-1074, far under the rounding of d
+        half = ~np.isfinite(d).all(axis=-1)
+        if half.any():
+            d[half] = np.ldexp(c2[half], -1) - np.ldexp(c1[half], -1)
+        both = np.concatenate((b1, b2), axis=-1)
+        reach_b = np.maximum(both.max(axis=(-2, -1), initial=0.0), -both.min(axis=(-2, -1), initial=0.0))
+        reach_d = np.abs(d).max(axis=-1, initial=0.0)
+        base = np.frexp(np.where(reach_b > 0.0, reach_b, math.ulp(0.0)))[1].astype(np.int64)
+        shift = np.where(reach_d > 0.0, np.frexp(reach_d)[1] + half, base)
+        self.d, self.both, self.n1 = _scale(d, half - shift), _scale(both, -base), n1
+        tops = scales * np.ldexp(reach_d, half - shift)[:, None]
+        self.exps = np.where(
+            tops > 0.0, np.maximum(shift[:, None] + np.frexp(tops)[1], base[:, None]), base[:, None]
+        )
+        self.tcs = np.ldexp(scales, shift[:, None] - self.exps)
+        self.rs = np.ldexp(1.0, base[:, None] - self.exps)
+        # a scale left to the dual has t |d| within a small factor of |B|, or d = 0:
+        # its ratio is in range
+        self.ratios = np.ldexp(scales, (shift - base)[:, None])
+        squares = (self.both * self.both).sum(axis=-2)
+        self.gap = _norm(self.d)
+        self.fro1, self.fro2 = np.sqrt(squares[:, :n1].sum(axis=-1)), np.sqrt(squares[:, n1:].sum(axis=-1))
+        kappa = m + max(n1, n2) + 4
+        self.slacks = _rounding_slack(kappa, self.gap, self.fro1, self.fro2, self.tcs, self.rs)
+        self.states = np.full(shape, None, dtype=object)
+        self.margins, self.norms = np.zeros(shape), np.zeros(shape)
+        self.iterations = np.zeros(shape, dtype=np.int64)
+        self.certificates = np.zeros(shape + (m,))
+        self.witnesses = np.zeros(shape + (n1,)), np.zeros(shape + (n2,))
+        self.decomposed = np.zeros(k, bool)
+
+    def certify(self, direction, pairs, trying, evaluations) -> np.ndarray:
+        """Disjoint, with the unit direction as certificate, for each scale of
+        ``trying`` whose margin exceeds its slack; returns where that held.
+
+        ``direction`` holds one row for each pair of ``pairs``. A margin
+        within ``_rounding_slack`` of zero proves nothing, so those scales go
+        on to the witness path, where touching bodies intersect.
+        """
+        length = _norm(direction)
+        # a zero direction proves nothing, and its margins are NaN
+        w = direction / length[:, None]
+        image = (w[:, None, :] @ self.both[pairs])[:, 0]
+        image *= image
+        reach1, reach2 = np.sqrt(image[:, : self.n1].sum(axis=-1)), np.sqrt(image[:, self.n1 :].sum(axis=-1))
+        tcs, rs = self.tcs[pairs], self.rs[pairs]
+        scaled = tcs * (w * self.d[pairs]).sum(axis=-1)[:, None]
+        margin = scaled - rs * reach1[:, None] - rs * reach2[:, None]
+        won = trying & (margin > self.slacks[pairs])
+        if won.any():
+            row, i = np.nonzero(won)
+            p, scaled, margin = np.arange(len(self.d))[pairs][row], scaled[row, i], margin[row, i]
+            self.states[p, i] = DISJOINT
+            self.margins[p, i] = np.ldexp(margin, self.exps[p, i])
+            self.norms[p, i] = np.where(scaled > margin, scaled / (scaled - margin), math.inf)
+            self.iterations[p, i] = evaluations if np.isscalar(evaluations) else evaluations[row]
+            self.certificates[p, i] = w[row]
+        return won
+
+    def decide(self) -> None:
+        """Decide every open scale: the centre line ``d / ||d||`` may separate;
+        else ``[B1 B2]`` is decomposed and ``whiten`` decides, one stacked
+        ``eigh`` for each rank among the pairs."""
+        undecided = self.open & ~self.certify(self.d, slice(None), self.open, 0)
+        self.decomposed = undecided.any(axis=-1)
+        todo = np.flatnonzero(self.decomposed)
+        if not todo.size:
+            return
+        if todo.size == len(self.d):
+            todo = slice(None)
+        # [B1 B2] = U diag(sigma) [P1 P2] whitens S1 + S2 = U diag(sigma^2) U' on
+        # its range without squaring its condition number, as eigh(S1 + S2) would
+        both = self.both[todo]
+        basis, sigma, rows = np.linalg.svd(both, full_matrices=False)
+        ranks = np.sum(sigma > sigma[:, :1] * max(both.shape[1:]) * np.finfo(float).eps, axis=-1)
+        for rank in sorted(set(ranks.tolist())):
+            group = ranks == rank
+            at, parts = todo, (basis, sigma, rows)
+            if not group.all():
+                at = np.arange(len(self.d))[todo][group]
+                parts = (a[group] for a in parts)
+            u, sg, v = parts
+            # contiguous, so that a subset of the pairs keeps the layout its
+            # products are computed with
+            u, sg, v = (np.ascontiguousarray(a) for a in (u[:, :, :rank], sg[:, :rank], v[:, :rank]))
+            self.whiten(at, u, sg, v, undecided[at])
+
+    def whiten(self, pairs, basis, sigma, rows, undecided) -> None:
+        """Decide the scales ``undecided`` of ``pairs``, whose ``[B1 B2]`` all
+        have rank r and the thin SVD ``basis`` (m, r), ``sigma`` (r) and
+        ``rows`` (r, n1 + n2).
+
+        A component of d outside the range of ``S1 + S2`` separates; else
+        the maximum of f decides each scale: above ``1 / ratio**2``, ``lam
+        = (S1/(1-s) + S2/s)^-1 d`` separates, and at most that, the
+        maximizer gives the witness.
+        """
+        d = self.d[pairs]
+        along = _dot(basis.swapaxes(-1, -2), d)
+        if basis.shape[-1] < basis.shape[-2]:
+            # at full row rank the residual is rounding, which proves nothing
+            undecided &= ~self.certify(d - _dot(basis, along), pairs, undecided, 0)
+        live = undecided.any(axis=-1)
+        if not live.all():
+            if not live.any():
+                return
+            pairs = np.arange(len(self.d))[pairs]
+            pairs, undecided, basis, sigma, rows, along = (
+                a[live] for a in (pairs, undecided, basis, sigma, rows, along)
+            )
+        p1, p2 = rows[:, :, : self.n1], rows[:, :, self.n1 :]
+        mu, rotation = np.linalg.eigh(p1 @ p1.swapaxes(-1, -2))
+        mu = np.where(mu < FLAT_TOL, 0.0, np.where(mu > 1.0 - FLAT_TOL, 1.0, mu))
+        coords = _dot(rotation.swapaxes(-1, -2), along / sigma)
+        v2 = coords**2
+        ratios = self.ratios[pairs]
+        least = np.where(undecided, ratios, math.inf).min(axis=-1)
+        least = least * least
+        level = np.where(least > 0.0, 1.0 / least, math.inf)
+        s, f, evaluations = _maximize(mu, v2, level)
         a, b = _weights(mu, s)
-        # s (1 - s) / den, which is 1 - s where body 2 is flat
-        weight = np.where(mu == 1.0, (1.0 - s) * a, s * b)
-        lam = basis @ ((rotation @ (weight * coords)) / sigma)
-        certify(lam, beyond, evaluations)
-        undecided = [i for i in undecided if verdicts[i] is None]
-        if not undecided:
-            return verdicts, True
-    if f > level:
+        beyond = undecided & (ratios * ratios * f[:, None] > 1.0)
+        if beyond.any():
+            # s (1 - s) / den, which is 1 - s where body 2 is flat
+            weight = np.where(mu == 1.0, (1.0 - s[:, None]) * a, s[:, None] * b)
+            lam = _dot(basis, _dot(rotation, weight * coords) / sigma)
+            undecided &= ~self.certify(lam, pairs, beyond, evaluations)
+            live = undecided.any(axis=-1)
+            if not live.all():
+                if not live.any():
+                    return
+                pairs = np.arange(len(self.d))[pairs]
+                pairs, undecided, mu, rotation, v2, coords, s, f, evaluations, level, a, b, rows = (
+                    x[live]
+                    for x in (pairs, undecided, mu, rotation, v2, coords, s, f, evaluations, level, a, b,
+                              rows)
+                )
+                p1, p2 = rows[:, :, : self.n1], rows[:, :, self.n1 :]
         # touching up to rounding: only the maximizer itself gives a witness
         # with ||x|| = ||y|| = sqrt(max f), not the first s with f > level
-        s, f, more = _maximize(mu, coords**2, math.inf)
-        evaluations += more
-    a, b = _weights(mu, s)
-    x1 = p1.T @ (rotation @ (a * coords))
-    y1 = -(p2.T @ (rotation @ (b * coords)))
-    length, fro1, fro2, reach1, reach2 = (
-        float(np.linalg.norm(v)) for v in (d, b1, b2, x1, y1)
-    )
-    for i in undecided:
-        tc, r, ratio = tcs[i], rs[i], ratios[i]
-        x, y = ratio * x1, ratio * y1
-        size = max(tc * length, r * fro1, r * fro2)
-        residual = float(np.linalg.norm(r * (b1 @ x) - r * (b2 @ y) - tc * d))
-        reach = ratio * max(reach1, reach2)
-        witnessed = reach <= 1.0 + WITNESS_TOL and residual <= WITNESS_TOL * size
-        verdicts[i] = SeparationVerdict(
-            state=INTERSECTING if witnessed else INDETERMINATE,
-            margin=0.0,
-            norm=ratio * math.sqrt(f),
-            iterations=evaluations,
-            witness=(x, y) if witnessed else None,
+        again = f > level
+        if again.any():
+            s[again], f[again], more = _maximize(mu[again], v2[again], np.full(again.sum(), math.inf))
+            evaluations[again] += more
+            a[again], b[again] = _weights(mu[again], s[again])
+        x1 = _dot(p1.swapaxes(-1, -2), _dot(rotation, a * coords))
+        y1 = -_dot(p2.swapaxes(-1, -2), _dot(rotation, b * coords))
+        reach = np.maximum(_norm(x1), _norm(y1))
+        # the witness (ratio x1, ratio y1) and its residual at every scale of
+        # each pair; the scales already decided get ratio 0
+        n1, d, both = self.n1, self.d[pairs], self.both[pairs]
+        tc, r = self.tcs[pairs], self.rs[pairs]
+        ratio = np.where(undecided, self.ratios[pairs], 0.0)
+        x, y = ratio[:, :, None] * x1[:, None, :], ratio[:, :, None] * y1[:, None, :]
+        image1 = x @ both[:, :, :n1].swapaxes(-1, -2)
+        image2 = y @ both[:, :, n1:].swapaxes(-1, -2)
+        residual = _norm(r[:, :, None] * image1 - r[:, :, None] * image2 - tc[:, :, None] * d[:, None, :])
+        size = np.maximum(np.maximum(tc * self.gap[pairs][:, None], r * self.fro1[pairs][:, None]),
+                          r * self.fro2[pairs][:, None])
+        witnessed = (ratio * reach[:, None] <= 1.0 + WITNESS_TOL) & (residual <= WITNESS_TOL * size)
+        row, i = np.nonzero(undecided)
+        p = np.arange(len(self.d))[pairs][row]
+        self.states[p, i] = np.where(witnessed[row, i], INTERSECTING, INDETERMINATE)
+        self.norms[p, i] = ratio[row, i] * np.sqrt(f[row])
+        self.iterations[p, i] = evaluations[row]
+        self.witnesses[0][p, i], self.witnesses[1][p, i] = x[row, i], y[row, i]
+
+    def verdict(self, p: int, i: int) -> SeparationVerdict:
+        """The verdict of pair p at scale i, which must be open."""
+        state = self.states[p, i]
+        return SeparationVerdict(
+            state=state,
+            margin=float(self.margins[p, i]),
+            norm=float(self.norms[p, i]),
+            iterations=int(self.iterations[p, i]),
+            certificate=self.certificates[p, i] if state == DISJOINT else None,
+            witness=(self.witnesses[0][p, i], self.witnesses[1][p, i])
+            if state == INTERSECTING
+            else None,
         )
-    return verdicts, True
+
+
+def _decide_stack(c1, c2, b1, b2, scales, open_=None) -> _Stack:
+    """Decide a stack of pairs, each at several centre scales, in one pass.
+
+    ``c1`` and ``c2`` are (k, m), ``b1`` is (k, m, n1) and ``b2`` (k, m,
+    n2): k pairs that share a row count. ``scales`` is (g,) or (k, g), and
+    pair p at scale t is ``(t c1[p], t c2[p], b1[p], b2[p])``; ``open_``
+    (k, g), all true by default, says which of them to decide.
+
+    Scaling both centres by t scales d and its whitened coordinates by t,
+    so ``f_t(s) = t**2 f_1(s)``, and a pair at scale t is disjoint iff
+    ``max f_1 > 1 / t**2``. For each pair, one decomposition of ``[B1
+    B2]`` and one maximization of ``f_1``, which stops once ``f_1`` exceeds
+    ``1 / t_min**2`` for its least scale still open, serve every scale. A
+    direction w certifies each scale whose margin ``t <w, d> - ||B1'w|| -
+    ||B2'w||`` exceeds that scale's ``_rounding_slack``, and the witness
+    at the maximizer is ``(t x_1, t y_1)``, checked for each scale on its
+    own pair. Only ``d = c2 - c1`` and the shapes enter, and d is formed
+    before anything is scaled, so centres far larger than their gap keep
+    it.
+
+    The pairs share each step: one stacked SVD, one stacked ``eigh`` for
+    each rank among the pairs that need one, and one array operation for
+    the rest. Each pair's verdicts are bit for bit those it gets as a
+    stack of one: every operation is elementwise, a sum over one pair's
+    entries, which numpy takes in the same order whatever else is in the
+    stack, or a stacked ``matmul``, ``svd`` or ``eigh``, which it computes
+    matrix by matrix, the same way for matrices laid out alike; so every
+    operand of a product is C-contiguous or a view of a C-contiguous
+    stack, and pairs of different rank are never padded to a common size. ``ValueError`` is raised when a scale
+    is negative or not finite, or a pair's largest scale times its centres
+    overflows.
+
+    Returns the decided ``_Stack``: its ``states`` (k, g), ``decomposed``
+    (k,), whether ``[B1 B2]`` was decomposed for each pair, which it is
+    unless the centre line certifies each of the pair's open scales, and
+    ``verdict(p, i)``.
+    """
+    with np.errstate(all="ignore"):
+        stack = _Stack(c1, c2, b1, b2, scales, open_)
+        stack.decide()
+    return stack
 
 
 def decide_disjoint(e1: Ellipsoid | Ball, e2: Ellipsoid | Ball) -> SeparationVerdict:
@@ -313,7 +464,7 @@ def decide_disjoint(e1: Ellipsoid | Ball, e2: Ellipsoid | Ball) -> SeparationVer
     each divided by a power of two (see ``binary_exponent``), which is
     exact and keeps every norm in range, so it depends neither on the
     pair's scale nor on how far the centres outweigh the shapes or their
-    gap.
+    gap. It is the stack of one pair at the one scale 1.
     """
     e1, e2 = (e.to_ellipsoid() if isinstance(e, Ball) else e for e in (e1, e2))
     if e1.ambient_dim != e2.ambient_dim:
@@ -321,4 +472,5 @@ def decide_disjoint(e1: Ellipsoid | Ball, e2: Ellipsoid | Ball) -> SeparationVer
             f"bodies must share an ambient dimension, got {e1.ambient_dim} "
             f"and {e2.ambient_dim}"
         )
-    return _decide_scaled(e1.center, e2.center, e1.shape, e2.shape, (1.0,))[0][0]
+    stack = _decide_stack(e1.center[None], e2.center[None], e1.shape[None], e2.shape[None], (1.0,))
+    return stack.verdict(0, 0)

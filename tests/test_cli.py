@@ -407,6 +407,36 @@ class TestPlanCommand(unittest.TestCase):
         self.assertGreater(bounds[1, 2]["value"], 0.0)
 
 
+    def test_plan_beyond_the_doubles_is_infeasible_and_written(self):
+        # the pair 0-1 has a width bound of about 2.4e300, whose dimension no
+        # double holds: that pair has no dimension, the others keep theirs, and
+        # the plan is written as strict JSON
+        classes = [
+            {"center": [0.0, 1e308, -1.0],
+             "shape": [[1e300, 0.0, 0.0], [0.0, 1e300, 0.0], [0.0, 0.0, 1e-160]]},
+            {"center": [1e-310, 1e308, 3e-300],
+             "shape": [[1.0, 0.0, 0.0], [0.0, 1e300, 0.0], [0.0, 0.0, 1e-300]]},
+            {"center": [5.0, 5.0, 5.0], "radius": 1.0},
+        ]
+        with tempfile.TemporaryDirectory() as tmp:
+            path, out = Path(tmp) / "classes.json", Path(tmp) / "plan.json"
+            path.write_text(json.dumps({"classes": classes}))
+            code, table, err = run_cli(["plan", "--classes", str(path), "--out", str(out)])
+            payload = json.loads(out.read_text(), parse_constant=strict_json_constant)
+        self.assertEqual(code, 1)
+        self.assertIn("error: projection-dimension-beyond-the-doubles", err)
+        self.assertNotIn("Traceback", err)
+        self.assertIn("2.41421e+300", table)
+        self.assertFalse(payload["feasible"])
+        self.assertIsNone(payload["m"])
+        pairs = {(pair["first"], pair["second"]): pair for pair in payload["pairs"]}
+        self.assertIsNone(pairs[0, 1]["m_required"])
+        self.assertTrue(pairs[0, 1]["bound"]["valid"])
+        self.assertGreater(pairs[0, 1]["bound"]["value"], 1e300)
+        self.assertIn("beyond the doubles", pairs[0, 1]["bound"]["reason"])
+        self.assertGreater(pairs[0, 2]["m_required"], 0)
+        self.assertGreater(pairs[1, 2]["m_required"], 0)
+
 class TestPcaToyAndClassify(unittest.TestCase):
     def test_end_to_end(self):
         with tempfile.TemporaryDirectory() as tmp:

@@ -149,6 +149,19 @@ class TestPlanMulticlass(unittest.TestCase):
         self.assertEqual((bad[0].first, bad[0].second), (0, 1))
         self.assertFalse(bad[0].bound.valid)
 
+    def test_dimension_beyond_the_doubles_marks_the_pair_infeasible(self):
+        # a body 1e300 wide across the axis to a point 2 beyond it: a bound
+        # of about 5e299 is valid, but no double holds its dimension
+        wide = Ellipsoid(np.array([0.0, 0.0]), np.diag([1.0, 1e300]))
+        plan = plan_multiclass([wide, self.point([3.0, 0.0]), self.point([3.0, 10.0])], p=0.1)
+        pair = plan.pairs[0]
+        self.assertTrue(pair.bound.valid)
+        self.assertIsNone(pair.m_required)
+        self.assertIn("beyond the doubles", pair.bound.reason)
+        self.assertFalse(plan.feasible)
+        self.assertIsNone(plan.m)
+        self.assertIn("e+", plan.render_table())
+
     def test_monotone_in_p(self):
         rng = np.random.default_rng(3)
         centers = 8.0 * rng.standard_normal((6, 5))

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 import tempfile
@@ -26,7 +27,7 @@ from projsep.experiments import (
 from projsep.separation import (
     DISJOINT,
     INDETERMINATE,
-    _decide_scaled,
+    _decide_stack,
     decide_disjoint,
 )
 from test_separation import assert_checked
@@ -272,28 +273,36 @@ class TestRunEllipsoidPhase(unittest.TestCase):
 
 class TestEllipsoidSweepRecord(unittest.TestCase):
     def test_verdicts_at_the_benchmark_geometry_are_checked(self):
-        # every certificate and witness the joint bisection produced, rechecked
-        # on the pair it decided, and the grid against a scan of every M
+        # every certificate and witness of every pair that the lockstep
+        # bisection stacked, rechecked on that pair alone, and the grid
+        # against a scan of every M
         n, zetas, ms, trials, seed = 40, (100.0, 200.0, 300.0, 400.0), tuple(range(1, 41)), 4, 2024
-        decided = []
+        decided = []  # per pair of each stack: (c1, c2, b1, b2, [(scale, verdict), ...])
+        stacks = []
 
-        def recording(c1, c2, b1, b2, scales):
-            verdicts, decomposed = _decide_scaled(c1, c2, b1, b2, scales)
-            decided.append((c1, c2, b1, b2, list(scales), verdicts))
-            return verdicts, decomposed
+        def recording(c1, c2, b1, b2, scales, open_):
+            stack = _decide_stack(c1, c2, b1, b2, scales, open_)
+            stacks.append(stack)
+            for p in range(len(c1)):
+                verdicts = [(scales[i], stack.verdict(p, i)) for i in np.flatnonzero(open_[p])]
+                decided.append((c1[p], c2[p], b1[p], b2[p], verdicts))
+            return stack
 
-        with mock.patch.object(experiments, "_decide_scaled", recording):
+        with mock.patch.object(experiments, "_decide_stack", recording):
             grid = run_ellipsoid_phase(n, zetas, ms, trials, seed, variant="hyperplane")
-        for c1, c2, b1, b2, scales, verdicts in decided:
-            for t, verdict in zip(scales, verdicts):
+        for c1, c2, b1, b2, verdicts in decided:
+            for t, verdict in verdicts:
                 assert_checked(self, verdict, Ellipsoid(t * c1, b1), Ellipsoid(t * c2, b2))
         record = grid.meta["decisions"]
         self.assertEqual(record["calls"], len(decided))
         self.assertEqual(record["verdicts"], sum(len(entry[-1]) for entry in decided))
+        self.assertEqual(record["decompositions"], sum(int(s.decomposed.sum()) for s in stacks))
         self.assertLessEqual(record["decompositions"], record["calls"])
         # the probes are distinct prefixes, so a trial makes at most len(ms) calls
         self.assertLessEqual(record["calls"], trials * len(ms))
         self.assertLess(record["calls"], record["verdicts"])
+        # trials that probe the same prefix at the same step share a stack
+        self.assertLess(len(stacks), record["calls"])
         disjoint, indeterminate, _ = ellipsoid_reference(n, zetas, ms, trials, seed, "hyperplane")
         np.testing.assert_array_equal(grid.successes, disjoint)
         np.testing.assert_array_equal(grid.indeterminate, 0)
@@ -328,6 +337,49 @@ class TestEllipsoidSweepRecord(unittest.TestCase):
         record = grid.meta["m_star"]
         np.testing.assert_array_equal(np.cumsum(record["histogram"][0]), grid.successes[0])
         self.assertEqual(len(record["histogram"][0]), 3)
+
+
+# SHA-256 of the CSV and of the timestamp-free .meta.json that save_phase_grid
+# writes for three sweeps: the CI sweep in both variants and the benchmark
+# geometry with 4 trials. (n, gaps, trials, seed, variant), CSV, meta.
+PINNED_SWEEPS = {
+    "ci-hyperplane": (
+        (12, (10.0, 20.0, 40.0), 6, 7, "hyperplane"),
+        "396018c1867d9e6a02570f3df6c9b40fcaa5be062eaa5b55c822120a7ce2ea35",
+        "ed7d720e5b0642aa09a1798e7c54b6946fed195e36a73bc8794d958256ec1d0e",
+    ),
+    "ci-general": (
+        (12, (10.0, 20.0, 40.0), 6, 7, "general"),
+        "fb98f4169892fb5caa564c0728fa9d82f34974e7ad3681619e48aaf909a61f52",
+        "be3c9bc16021b55a4fd11a06f0ce4a65cc5251be664bf1222b86141f177304c8",
+    ),
+    "benchmark": (
+        (40, (100.0, 200.0, 300.0, 400.0), 4, 2024, "hyperplane"),
+        "7cbaeb90677326a0e3b35b61dd683320169ba3e95a5f6e0d32b5655c8cd28e23",
+        "a0289e5a40af6d367cc340b95b9947a2f9aaa2262029d3e7677ad30fceeac164",
+    ),
+}
+
+
+def without_timestamp(data: bytes) -> bytes:
+    return b"".join(
+        line for line in data.splitlines(keepends=True)
+        if not line.lstrip().startswith(b'"timestamp"')
+    )
+
+
+class TestPinnedSweeps(unittest.TestCase):
+    def test_sweep_files_keep_their_bytes(self):
+        # the files are the sweep's output: any change to a count, a bound,
+        # an M* summary or the decision record changes a digest
+        with tempfile.TemporaryDirectory() as tmp:
+            for name, ((n, zetas, trials, seed, variant), csv_sha, meta_sha) in PINNED_SWEEPS.items():
+                grid = run_ellipsoid_phase(n, zetas, range(1, n + 1), trials, seed, variant=variant)
+                path = Path(tmp) / f"{name}.csv"
+                save_phase_grid(grid, path)
+                meta = without_timestamp(meta_path(path).read_bytes())
+                self.assertEqual(hashlib.sha256(path.read_bytes()).hexdigest(), csv_sha, name)
+                self.assertEqual(hashlib.sha256(meta).hexdigest(), meta_sha, name)
 
 
 class TestEstimateTransition(unittest.TestCase):

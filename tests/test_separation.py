@@ -1,3 +1,4 @@
+import math
 import unittest
 from fractions import Fraction
 
@@ -11,7 +12,7 @@ from projsep.separation import (
     DISJOINT,
     INDETERMINATE,
     INTERSECTING,
-    _decide_scaled,
+    _decide_stack,
     decide_disjoint,
 )
 
@@ -415,6 +416,13 @@ class TestProperties(unittest.TestCase):
 FAMILY_SCALES = (0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 8.0)
 
 
+def decide_scaled(e1, e2, scales):
+    """The verdicts of the pairs ``(t c1, t c2, B1, B2)``, one per scale t, and
+    whether ``[B1 B2]`` was decomposed: the family decided as a stack of one."""
+    stack = _decide_stack(e1.center[None], e2.center[None], e1.shape[None], e2.shape[None], scales)
+    return [stack.verdict(0, i) for i in range(len(scales))], bool(stack.decomposed[0])
+
+
 class TestScaledFamily(unittest.TestCase):
     """One decomposition decides the pairs (t c1, t c2, B1, B2) for every scale t."""
 
@@ -433,7 +441,7 @@ class TestScaledFamily(unittest.TestCase):
     )
     def test_each_scale_agrees_with_its_own_decision(self, pair, scales):
         e1, e2, _ = pair
-        verdicts, _ = _decide_scaled(e1.center, e2.center, e1.shape, e2.shape, scales)
+        verdicts, _ = decide_scaled(e1, e2, scales)
         self.assertEqual(len(verdicts), len(scales))
         for t, verdict in zip(scales, verdicts):
             f1, f2 = (Ellipsoid(t * e.center, e.shape) for e in (e1, e2))
@@ -446,7 +454,7 @@ class TestScaledFamily(unittest.TestCase):
         # unit balls 4 apart touch when the centres are scaled by 1/2
         b1, b2 = ball([0.0, 0.0, 0.0], 1.0), ball([4.0, 0.0, 0.0], 1.0)
         scales = (0.25, 0.5, 1.0, 2.0)
-        verdicts, decomposed = _decide_scaled(b1.center, b2.center, b1.shape, b2.shape, scales)
+        verdicts, decomposed = decide_scaled(b1, b2, scales)
         states = [v.state for v in verdicts]
         self.assertEqual(states, [INTERSECTING, INTERSECTING, DISJOINT, DISJOINT])
         self.assertTrue(decomposed)
@@ -460,7 +468,7 @@ class TestScaledFamily(unittest.TestCase):
         # at scale 0.25 would be 1e-250 and their squared norms would vanish
         b1, b2 = ball([0.0, 0.0, 0.0], 1.0), ball([4.0, 0.0, 0.0], 1.0)
         scales = (0.0, 1e-300, 0.25, 1.0, 1e250)
-        verdicts, _ = _decide_scaled(b1.center, b2.center, b1.shape, b2.shape, scales)
+        verdicts, _ = decide_scaled(b1, b2, scales)
         states = [v.state for v in verdicts]
         self.assertEqual(states, [INTERSECTING] * 3 + [DISJOINT] * 2)
         for t, verdict in zip(scales, verdicts):
@@ -469,15 +477,91 @@ class TestScaledFamily(unittest.TestCase):
             assert_checked(self, verdict, f1, f2)
         # in units of the larger pair, the smaller pair of points would coincide
         points = np.zeros((2, 0))
-        verdicts, _ = _decide_scaled(np.zeros(2), np.ones(2), points, points, (1e-300, 1e300))
+        verdicts, _ = decide_scaled(
+            Ellipsoid(np.zeros(2), points), Ellipsoid(np.ones(2), points), (1e-300, 1e300)
+        )
         self.assertEqual([v.state for v in verdicts], [DISJOINT, DISJOINT])
         self.assertAlmostEqual(verdicts[0].margin / 1e-300, np.sqrt(2.0), places=12)
 
     def test_centre_line_alone_needs_no_decomposition(self):
         b1, b2 = ball([0.0, 0.0], 1.0), ball([4.0, 0.0], 1.0)
-        verdicts, decomposed = _decide_scaled(b1.center, b2.center, b1.shape, b2.shape, (1.0, 3.0))
+        verdicts, decomposed = decide_scaled(b1, b2, (1.0, 3.0))
         self.assertEqual([v.state for v in verdicts], [DISJOINT, DISJOINT])
         self.assertFalse(decomposed)
+
+
+def mixed_stack(rng, k, m, n1, n2):
+    """k random pairs that share m rows: full-rank ones, rank-deficient ones,
+    ones with a body flat along part of the other's span, and ones with
+    coinciding centres, at sizes from 1e-3 to 1e3."""
+    c1, c2 = rng.standard_normal((2, k, m))
+    b1, b2 = rng.standard_normal((k, m, n1)), rng.standard_normal((k, m, n2))
+    for p, kind in enumerate(rng.integers(0, 4, size=k)):
+        if kind == 1 and m > 1:
+            # both bodies in one hyperplane, and sometimes in one line
+            rank = int(rng.integers(1, m))
+            basis = rng.standard_normal((m, rank))
+            b1[p] = basis @ rng.standard_normal((rank, n1))
+            b2[p] = basis @ rng.standard_normal((rank, n2))
+        elif kind == 2:
+            # body 1 has no extent along the first rows, where body 2 has
+            b1[p, : int(rng.integers(1, m + 1))] = 0.0
+        elif kind == 3:
+            c2[p] = c1[p]
+        size = 10.0 ** rng.uniform(-3, 3)
+        c1[p] *= size * rng.uniform(0.2, 3.0)
+        c2[p] *= size * rng.uniform(0.2, 3.0)
+        b1[p] *= size
+        b2[p] *= size
+    return c1, c2, b1, b2
+
+
+class TestStackedDecision(unittest.TestCase):
+    """A stack decides each pair bit for bit as that pair alone decides it."""
+
+    def test_each_pair_decides_as_a_stack_of_one(self):
+        rng = np.random.default_rng(17)
+        scales = (0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 16.0)
+        seen = set()
+        for _ in range(60):
+            k, m = int(rng.integers(1, 10)), int(rng.integers(1, 7))
+            n1, n2 = (int(x) for x in rng.integers(0, m + 2, size=2))
+            c1, c2, b1, b2 = mixed_stack(rng, k, m, n1, n2)
+            open_ = rng.random((k, len(scales))) < 0.6
+            stack = _decide_stack(c1, c2, b1, b2, scales, open_)
+            for p in range(k):
+                alone = _decide_stack(
+                    c1[p : p + 1], c2[p : p + 1], b1[p : p + 1], b2[p : p + 1], scales, open_[p : p + 1]
+                )
+                self.assertEqual(stack.decomposed[p], alone.decomposed[0])
+                for i in range(len(scales)):
+                    if not open_[p, i]:
+                        self.assertIsNone(stack.states[p, i])
+                        continue
+                    got, want = stack.verdict(p, i), alone.verdict(0, i)
+                    label = f"pair {p} of {k}, m {m}, scale {scales[i]}"
+                    self.assertEqual(got.state, want.state, label)
+                    self.assertEqual(got.margin, want.margin, label)
+                    self.assertEqual(got.norm, want.norm, label)
+                    self.assertEqual(got.iterations, want.iterations, label)
+                    if want.state == DISJOINT:
+                        np.testing.assert_array_equal(got.certificate, want.certificate, label)
+                    elif want.state == INTERSECTING:
+                        np.testing.assert_array_equal(got.witness[0], want.witness[0], label)
+                        np.testing.assert_array_equal(got.witness[1], want.witness[1], label)
+                    seen.add(want.state)
+                    if want.state != INDETERMINATE:
+                        e1, e2 = Ellipsoid(scales[i] * c1[p], b1[p]), Ellipsoid(scales[i] * c2[p], b2[p])
+                        assert_checked(self, want, e1, e2)
+        self.assertEqual(seen, {DISJOINT, INTERSECTING})
+
+    def test_scales_are_validated(self):
+        c, b = np.zeros((1, 2)), np.eye(2)[None]
+        for scales in ((-1.0,), (math.inf,), (math.nan,)):
+            with self.assertRaises(ValueError):
+                _decide_stack(c, c + 1.0, b, b, scales)
+        with self.assertRaisesRegex(ValueError, "overflow"):
+            _decide_stack(c + 1e300, c, b, b, (1e10,))
 
 
 def scale_pairs(s):
