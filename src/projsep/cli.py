@@ -418,6 +418,9 @@ def dispatch(argv) -> int:
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {_slug(str(exc))}", file=sys.stderr)
         return 1
+    except MemoryError:
+        print("error: out-of-memory", file=sys.stderr)
+        return 1
 
 
 def main() -> None:

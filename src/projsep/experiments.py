@@ -5,11 +5,12 @@ the projected dimension M, counting disjointness successes per cell. Each
 trial derives its own RNG substream from the master seed and draws one
 Gaussian matrix, whose first M rows project for every M, so a cell's count
 does not depend on evaluation order or on the rest of the grid, and every
-row of counts is non-decreasing in M.
+row of counts is non-decreasing in M: each trial's success is a step in M.
 
 CSV schema: header ``param,M,trials,successes,indeterminate``, one row per
 cell, param formatted with six decimals. A sibling ``<name>.meta.json``
-records the resolved configuration and extras.
+records the resolved configuration and extras, among them ``m_star``, the
+summary of each trial's least successful M per parameter.
 """
 
 from __future__ import annotations
@@ -99,12 +100,22 @@ def _validate_axis2(ms) -> tuple[int, ...]:
 def run_cone_phase(n: int, alphas, ms, trials: int, seed: int) -> PhaseGrid:
     """Sweep circular-cone half-angles against projected dimensions.
 
-    Each trial draws one ``ms[-1]``-by-n Gaussian matrix and projects by
+    Each trial draws one ``ms[-1]``-by-n Gaussian matrix G and projects by
     its first M rows for every M. Success means that prefix's null space
-    misses the cone around the first axis: always when M = n, otherwise iff
-    the axis' null-space projection is shorter than ``cos(half_angle)``.
-    One QR of the transpose gives that length for every prefix. The test
-    is exact, so the indeterminate tally is always zero.
+    misses the cone around the first axis e1: always when M = n, otherwise
+    iff e1's null-space projection is shorter than ``cos(half_angle)``.
+    One Householder QR of ``[G.T | e1]``, of which only R is kept, gives
+    that length for every prefix: the first M columns of Q span the first
+    M rows of G, so the last column of R holds e1's coordinates in that
+    basis, and the cumulative sums of their squares are the squared row-space
+    projections of e1. No Q is formed. The test is exact, so the
+    indeterminate tally is always zero.
+
+    A trial's success is a step in M (the null-space projection cannot grow
+    as rows are added), so ``meta`` records ``m_star`` as the ellipsoid
+    sweep does, per half-angle: the mean and standard error of the least
+    successful M over the trials that have one, its histogram over ``ms``
+    and the count of trials successful at no M of the grid.
     """
     if n < 1:
         raise ValueError(f"ambient dimension must be >= 1, got {n}")
@@ -118,21 +129,28 @@ def run_cone_phase(n: int, alphas, ms, trials: int, seed: int) -> PhaseGrid:
     axis[0] = 1.0
     cosines = np.array([[math.cos(CircularCone(axis, a).half_angle)] for a in alphas])
     dims = np.array(ms)
-    successes = np.zeros((len(alphas), len(ms)), dtype=np.int64)
+    angles = np.arange(len(alphas))
+    # least_counts[i, j]: trials whose least successful prefix is ms[j]; j = len(ms): none
+    least_counts = np.zeros((len(alphas), len(ms) + 1), dtype=np.int64)
     for t in range(trials):
         matrix = substream(seed, CONE_KIND, t).standard_normal((ms[-1], n))
-        q = np.linalg.qr(matrix.T)[0]
+        # raw h is LAPACK's array transposed, so h[-1, j] is R[j, last]
+        h = np.linalg.qr(np.vstack((matrix, axis)).T, mode="raw")[0]
         # ||P_null(axis)||^2 = 1 - ||P_row(axis)||^2 for each row prefix
-        row_sq = np.cumsum(q[0] ** 2)[dims - 1]
+        row_sq = np.cumsum(h[-1, :ms[-1]] ** 2)[dims - 1]
         null_norm = np.sqrt(np.maximum(1.0 - row_sq, 0.0))
-        successes += (dims == n) | (cosines > null_norm)
+        ok = (dims == n) | (cosines > null_norm)
+        least_counts[angles, len(ms) - ok.sum(axis=1)] += 1
+    successes = np.cumsum(least_counts[:, :-1], axis=1)
+    meta = _base_meta(CONE_KIND, n, seed, trials)
+    meta["m_star"] = _m_star_summary(ms, least_counts)
     return PhaseGrid(
         axis1=alphas,
         axis2=ms,
         trials=trials,
         successes=successes,
         indeterminate=np.zeros_like(successes),
-        meta=_base_meta(CONE_KIND, n, seed, trials),
+        meta=meta,
     )
 
 

@@ -9,12 +9,13 @@ import tempfile
 import unittest
 from pathlib import Path
 from typing import NamedTuple
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import projsep
-from projsep import __version__
+from projsep import __version__, cli
 from projsep.cli import MAX_GRID_POINTS, SCHEMA_VERSION, dispatch, parse_grid
 
 
@@ -693,6 +694,19 @@ class TestMalformedInput(unittest.TestCase):
 
     def test_width_mc_zero_dimension(self):
         self.assert_domain_error(["width-mc", "--alpha", "0.5", "--n", "0"])
+
+    def test_memory_error_is_one_error_line(self):
+        # the sweep is mocked: a real allocation this large could exhaust the
+        # host's memory where the kernel overcommits
+        too_big = MemoryError("Unable to allocate 7.28 TiB for an array with shape (1000000, 1000000)")
+        argv = ["cone-phase", "--n", "1000000", "--ms", "1000000", "--grid", "0.3",
+                "--trials", "1", "--seed", "1", "--out", "x.csv"]
+        with mock.patch.object(cli, "run_cone_phase", side_effect=too_big) as sweep:
+            code, _, err = run_cli(argv)
+        sweep.assert_called_once()
+        self.assertEqual(code, 1)
+        self.assertEqual(err.splitlines()[-1], "error: out-of-memory")
+        self.assertNotIn("Traceback", err)
 
 
 def mostly(good, bad, odds=10):

@@ -44,20 +44,20 @@ def null_axis_norm(matrix, axis):
 
 
 def cone_reference(n, alphas, ms, trials, seed):
-    """Cone-sweep cells, each prefix's null space tested on its own.
+    """Cone-sweep outcomes per trial, each prefix's null space tested on its own.
 
     The null space misses the cone of half-angle alpha about the axis iff
-    the axis' projection onto it is shorter than ``cos(alpha)``.
+    the axis' projection onto it is shorter than ``cos(alpha)``. Returns a
+    boolean (trials, alphas, ms) array; its sum over trials is the grid.
     """
     axis = np.eye(n)[0]
-    counts = np.zeros((len(alphas), len(ms)), dtype=np.int64)
+    outcomes = np.zeros((trials, len(alphas), len(ms)), dtype=bool)
     for t in range(trials):
         matrix = substream(seed, CONE_KIND, t).standard_normal((ms[-1], n))
         for j, m in enumerate(ms):
             norm = null_axis_norm(matrix[:m], axis)
-            for i, alpha in enumerate(alphas):
-                counts[i, j] += norm < math.cos(alpha)
-    return counts
+            outcomes[t, :, j] = [norm < math.cos(alpha) for alpha in alphas]
+    return outcomes
 
 
 def ellipsoid_reference(n, zetas, ms, trials, seed, variant):
@@ -129,7 +129,7 @@ class TestRunConePhase(unittest.TestCase):
         for seed in SEEDS:
             for ms in (tuple(range(1, n + 1)), (2, 3, 5)):
                 grid = run_cone_phase(n, alphas, ms, trials=6, seed=seed)
-                reference = cone_reference(n, alphas, ms, 6, seed)
+                reference = cone_reference(n, alphas, ms, 6, seed).sum(axis=0)
                 np.testing.assert_array_equal(grid.successes, reference, f"seed {seed}, ms {ms}")
 
     def test_shared_cells_do_not_depend_on_the_grid(self):
@@ -140,6 +140,53 @@ class TestRunConePhase(unittest.TestCase):
                 part = run_cone_phase(n, alphas, ms, trials=8, seed=seed)
                 shared = full.successes[:, [m - 1 for m in ms]]
                 np.testing.assert_array_equal(part.successes, shared, f"seed {seed}, ms {ms}")
+
+    def test_edge_geometries_match_the_reference(self):
+        # R is n x (n + 1) when ms[-1] = n and square of order ms[-1] + 1 otherwise
+        alphas = (0.2, 0.8, 1.3, np.pi / 2)
+        for n, ms in (
+            (1, (1,)),
+            (2, (1,)),
+            (2, (1, 2)),
+            (6, (1, 2, 3, 4, 5)),
+            (6, (5,)),
+            (30, (1, 7, 19)),
+            (30, (3, 29)),
+        ):
+            for seed in SEEDS:
+                label = f"n {n}, ms {ms}, seed {seed}"
+                outcomes = cone_reference(n, alphas, ms, 5, seed)
+                # each trial's success is a step in M
+                self.assertTrue(np.all(np.diff(outcomes.astype(int), axis=2) >= 0), label)
+                grid = run_cone_phase(n, alphas, ms, trials=5, seed=seed)
+                np.testing.assert_array_equal(grid.successes, outcomes.sum(axis=0), label)
+                # every trial's least successful index, len(ms) for none
+                least = len(ms) - outcomes.sum(axis=2)
+                counts = [np.bincount(row, minlength=len(ms) + 1) for row in least.T]
+                record = grid.meta["m_star"]
+                self.assertEqual(record["histogram"], [c[:-1].tolist() for c in counts], label)
+                self.assertEqual(record["none"], [int(c[-1]) for c in counts], label)
+
+    def test_m_star_summarizes_each_trials_step(self):
+        n, alphas, trials = 12, (0.3, 0.8, 1.2, np.pi / 2), 9
+        ms = tuple(range(1, n + 1))
+        grid = run_cone_phase(n, alphas, ms, trials, seed=4)
+        record = grid.meta["m_star"]
+        for i in range(len(alphas)):
+            histogram = record["histogram"][i]
+            np.testing.assert_array_equal(np.cumsum(histogram), grid.successes[i])
+            self.assertEqual(sum(histogram) + record["none"][i], trials)
+            values = np.repeat(ms, histogram)
+            self.assertAlmostEqual(record["mean"][i], values.mean(), places=12)
+            error = values.std(ddof=1) / math.sqrt(values.size)
+            self.assertAlmostEqual(record["std_error"][i], error, places=12)
+        # M = n always succeeds; a half-space needs it
+        self.assertEqual(record["none"], [0] * len(alphas))
+        self.assertEqual(record["histogram"][-1], [0] * (n - 1) + [trials])
+        # a grid that stops short of n can leave trials with no M*
+        part = run_cone_phase(n, alphas, (2, 5), trials, seed=4)
+        self.assertEqual(part.meta["m_star"]["none"][-1], trials)
+        self.assertIsNone(part.meta["m_star"]["mean"][-1])
 
     def test_ms_must_increase(self):
         with self.assertRaises(ValueError):
@@ -361,6 +408,28 @@ PINNED_SWEEPS = {
 }
 
 
+# SHA-256 of the CSV and of the timestamp-free .meta.json that save_phase_grid
+# writes for three cone sweeps over every M: the CI sweep, the benchmark
+# geometry and criterion 1. (n, half-angles, trials, seed), CSV, meta.
+PINNED_CONE_SWEEPS = {
+    "ci": (
+        (12, (0.3, 0.8, 1.2), 6, 7),
+        "f4d85e58465181d72a968392768222f617aa6819cd1860be0d28d221f798542f",
+        "4aa9c11b8e62227e4d87e78d8daa3bc064b895b29fa023e73dd6ee519df643ab",
+    ),
+    "benchmark": (
+        (100, (math.pi / 8, math.pi / 4, 3 * math.pi / 8), 50, 1),
+        "6f83bfd03d553f0bd1f41607a746d7fa97a840c7999754c90d14285e4c61d391",
+        "3674c2e88b1ff9e4842a86a2d5c711bce6f9b4d56ce8ba9e621440689110efce",
+    ),
+    "criterion-1": (
+        (100, (math.pi / 8, math.pi / 4, 3 * math.pi / 8), 100, 1234),
+        "7a8c1141db23112603cef023eab086db0fd767e0bcaadd56fa76dba330633134",
+        "e6fe4176cc721d7ee778bae8f3e793aae3345ab31f07448f5035aa13a5bd602b",
+    ),
+}
+
+
 def without_timestamp(data: bytes) -> bytes:
     return b"".join(
         line for line in data.splitlines(keepends=True)
@@ -376,6 +445,16 @@ class TestPinnedSweeps(unittest.TestCase):
             for name, ((n, zetas, trials, seed, variant), csv_sha, meta_sha) in PINNED_SWEEPS.items():
                 grid = run_ellipsoid_phase(n, zetas, range(1, n + 1), trials, seed, variant=variant)
                 path = Path(tmp) / f"{name}.csv"
+                save_phase_grid(grid, path)
+                meta = without_timestamp(meta_path(path).read_bytes())
+                self.assertEqual(hashlib.sha256(path.read_bytes()).hexdigest(), csv_sha, name)
+                self.assertEqual(hashlib.sha256(meta).hexdigest(), meta_sha, name)
+
+    def test_cone_sweep_files_keep_their_bytes(self):
+        with tempfile.TemporaryDirectory() as tmp:
+            for name, ((n, alphas, trials, seed), csv_sha, meta_sha) in PINNED_CONE_SWEEPS.items():
+                grid = run_cone_phase(n, alphas, range(1, n + 1), trials, seed)
+                path = Path(tmp) / f"cone-{name}.csv"
                 save_phase_grid(grid, path)
                 meta = without_timestamp(meta_path(path).read_bytes())
                 self.assertEqual(hashlib.sha256(path.read_bytes()).hexdigest(), csv_sha, name)
