@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import math
 import time
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -36,8 +37,9 @@ class Dataset:
     When ``n_classes`` is omitted it is inferred from the labels, which
     must then cover every value (fresh datasets); a split may pass the
     parent's count so a side missing some class stays valid.
-    ``class_names`` preserves original label spellings so a loaded file
-    can be written back byte-for-byte.
+    ``class_names`` keeps each class's original integer label, spelled as
+    ``str(int)``, so a file ``save_dataset`` wrote is written back byte
+    for byte; a label spelled otherwise (``+1``, ``01``) is not.
     """
 
     features: np.ndarray
@@ -92,11 +94,31 @@ def dataset_from_arrays(features, labels, class_names=None) -> Dataset:
     return Dataset(np.asarray(features, dtype=float), remapped, tuple(class_names))
 
 
+_LINE_ENDS = ("\n", "\r\n", "\r")
+_INT64 = range(-(2**63), 2**63)
+
+
 def load_dataset(path) -> Dataset:
     """Read ``label,f0,...`` CSV; labels are remapped to 0..K-1 sorted.
 
-    Malformed input (ragged rows, non-numeric cells) raises with the
-    offending line number.
+    Accepted format: a header ``label,f0,...`` with at least one feature,
+    then one record per sample with as many cells as the header. Labels
+    are decimal integers within int64, features decimal floats (``nan``
+    and ``inf`` parse but the dataset rejects them); both may carry
+    surrounding whitespace and a sign. Lines end in LF or CRLF, cells
+    may be quoted as the csv module quotes them, and there are no blank
+    lines and no comments. Digit-group underscores (``1_0``) and
+    non-ASCII digits, which Python's ``int`` and ``float`` read, are
+    rejected.
+
+    The body is parsed by one streaming ``np.loadtxt`` pass. When that
+    fails or skips a blank line, the records are read again only to name
+    the first fault, counting the header as line 1: ``line N: expected W
+    cells, got C``, ``line N: non-integer label 'x'``, ``line N: label
+    '...' is not a decimal integer within int64`` or ``line N:
+    non-numeric feature cell``. A file without records raises ``dataset
+    file is empty``, one with a header alone ``dataset file has no data
+    rows``.
     """
     path = Path(path)
     with path.open(newline="") as handle:
@@ -105,38 +127,86 @@ def load_dataset(path) -> Dataset:
             header = next(reader)
         except StopIteration:
             raise ValueError("dataset file is empty") from None
-        expected_width = len(header)
-        if expected_width < 2 or header[0] != "label":
+        except csv.Error as exc:
+            raise ValueError(f"line 1: {exc}") from None
+        width = len(header)
+        if width < 2 or header[0] != "label":
             raise ValueError(f"line 1: header must be label,f0,..., got {header!r}")
-        raw_labels: list[int] = []
-        rows: list[list[float]] = []
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != expected_width:
-                raise ValueError(
-                    f"line {line_no}: expected {expected_width} cells, got {len(row)}"
+        blank_lines = []
+
+        def body():
+            for line in handle:
+                if line in _LINE_ENDS:  # np.loadtxt skips it; the csv reader does not
+                    blank_lines.append(line)
+                yield line
+
+        row_type = np.dtype([("label", np.int64), ("features", np.float64, (width - 1,))])
+        try:
+            with warnings.catch_warnings():
+                # a header alone is reported below
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                table = np.loadtxt(
+                    body(), dtype=row_type, delimiter=",", comments=None, quotechar='"', ndmin=1
                 )
-            try:
-                raw_labels.append(int(row[0]))
-            except ValueError:
-                raise ValueError(f"line {line_no}: non-integer label {row[0]!r}") from None
-            try:
-                rows.append([float(cell) for cell in row[1:]])
-            except ValueError:
-                raise ValueError(f"line {line_no}: non-numeric feature cell") from None
-    if not rows:
+        except ValueError:
+            _raise_first_fault(path, width)
+            raise
+    if blank_lines:
+        _raise_first_fault(path, width)
+    if table.size == 0:
         raise ValueError("dataset file has no data rows")
-    return dataset_from_arrays(np.array(rows), np.array(raw_labels))
+    return dataset_from_arrays(table["features"], table["label"])
+
+
+def _plain(cell: str) -> bool:
+    """Whether ``np.loadtxt`` reads a cell that Python's ``int`` or ``float`` reads."""
+    return "_" not in cell and cell.strip().isascii()
+
+
+def _raise_first_fault(path: Path, width: int) -> None:
+    """Raise at the first record of the body that ``load_dataset`` rejects.
+
+    Returns when there is none; builds no arrays.
+    """
+    with path.open(newline="") as handle:
+        reader = csv.reader(handle)
+        next(reader)
+        line_no = 1
+        try:
+            for line_no, row in enumerate(reader, start=2):
+                if len(row) != width:
+                    raise ValueError(f"line {line_no}: expected {width} cells, got {len(row)}")
+                try:
+                    label = int(row[0])
+                except ValueError:
+                    raise ValueError(f"line {line_no}: non-integer label {row[0]!r}") from None
+                if not (_plain(row[0]) and label in _INT64):
+                    raise ValueError(
+                        f"line {line_no}: label {row[0]!r} is not a decimal integer within int64"
+                    )
+                try:
+                    for cell in row[1:]:
+                        float(cell)
+                except ValueError:
+                    raise ValueError(f"line {line_no}: non-numeric feature cell") from None
+                if not all(map(_plain, row[1:])):
+                    raise ValueError(f"line {line_no}: non-numeric feature cell")
+        except csv.Error as exc:
+            raise ValueError(f"line {line_no + 1}: {exc}") from None
 
 
 def save_dataset(data: Dataset, path) -> None:
-    """Write the dataset CSV; floats use repr so a reload is bit-exact."""
+    """Write the dataset CSV; floats use repr so a reload is bit-exact.
+
+    The bytes are those of ``csv.writer``: CRLF line ends, and no cell
+    needs quoting, since class names are label spellings (integers).
+    """
     names = data.class_names or tuple(str(i) for i in range(data.n_classes))
     path = Path(path)
     with path.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["label"] + [f"f{i}" for i in range(data.n_features)])
-        for label, row in zip(data.labels, data.features):
-            writer.writerow([names[label]] + [repr(float(v)) for v in row])
+        csv.writer(handle).writerow(["label"] + [f"f{i}" for i in range(data.n_features)])
+        for label, row in zip(data.labels.tolist(), data.features):
+            handle.write(names[label] + "," + ",".join(map(repr, row.tolist())) + "\r\n")
 
 
 def split(data: Dataset, ratio: float, seed: int) -> tuple[Dataset, Dataset]:

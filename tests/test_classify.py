@@ -1,8 +1,13 @@
+import csv
+import hashlib
 import tempfile
 import unittest
+import warnings
 from pathlib import Path
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from projsep.classify import (
     ARMIJO_SLOPE,
@@ -98,6 +103,170 @@ class TestDatasetIO(unittest.TestCase):
             path.write_text("label,x0\n")
             with self.assertRaises(ValueError):
                 load_dataset(path)
+
+    def test_each_fault_names_its_line(self):
+        cases = {
+            "label,f0,f1\n0,1,2\n1,3\n0,1,2\n": "line 3: expected 3 cells, got 2",
+            "label,f0\n0,1\n1.0,2\n": "line 3: non-integer label '1.0'",
+            "label,f0\n0,1\nx,2\n": "line 3: non-integer label 'x'",
+            "label,f0,f1\n0,1,2\n1,3,abc\n": "line 3: non-numeric feature cell",
+            "label,f0,f1\n0,1,2\n1,,4\n": "line 3: non-numeric feature cell",
+            "label,f0\n0,1\n\n1,2\n": "line 3: expected 2 cells, got 0",
+            "label,f0\r\n0,1\r\n\r\n1,2\r\n": "line 3: expected 2 cells, got 0",
+            "label,f0\n0,1\n1,2\n\n": "line 4: expected 2 cells, got 0",
+            "label,f0\n0,1\n  \n1,2\n": "line 3: expected 2 cells, got 1",
+            'label,f0\n0,1\n1,"2,5"\n': "line 3: non-numeric feature cell",
+            # a quoted line break continues the record: its lines count once
+            'label,f0\n0,"1\n"\n1,2\n0,x\n': "line 4: non-numeric feature cell",
+            "label,f0\n": "dataset file has no data rows",
+            "label,f0\r\n": "dataset file has no data rows",
+            "": "dataset file is empty",
+            "x,f0\n0,1\n": "line 1: header must be label,f0,..., got ['x', 'f0']",
+            "label,f0\n0,nan\n1,2\n": "features contain non-finite entries",
+            # the csv-and-float reader this one replaced read 1_0 as 10 and overflowed on
+            # the long label
+            "label,f0\n0,1\n1_0,2\n": "line 3: label '1_0' is not a decimal integer within int64",
+            "label,f0\n0,1\n1,1_0\n": "line 3: non-numeric feature cell",
+            "label,f0\n0,1\n99999999999999999999999,2\n":
+                "line 3: label '99999999999999999999999' is not a decimal integer within int64",
+            # csv's field size limit, which used to escape as csv.Error
+            "label,f" + "0" * 140000 + "\n0,1\n1,2\n":
+                "line 1: field larger than field limit (131072)",
+            "label,f0\n0,1\n1,2\n0," + "x" * 140000 + "\n":
+                "line 4: field larger than field limit (131072)",
+        }
+        for text, message in cases.items():
+            with self.subTest(text=text[:40]), tempfile.TemporaryDirectory() as tmp:
+                path = Path(tmp) / "bad.csv"
+                path.write_bytes(text.encode())
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    with self.assertRaises(ValueError) as raised:
+                        load_dataset(path)
+                self.assertEqual(str(raised.exception), message)
+                self.assertEqual(caught, [])
+
+    def test_quoted_cells_and_line_ends(self):
+        texts = ['label,f0\n0,"1.5"\n"1",2\n', 'label,f0\r\n0,"1.5"\r\n"1",2\r\n',
+                 "label,f0\n0,1.5\n1,2\n", "label,f0\r\n0,1.5\r\n1,2\r\n", "label,f0\r0,1.5\r1,2",
+                 # a blank line within a quoted cell is no blank record
+                 'label,f0\n0,"1.5\n\n"\n1,2\n']
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "data.csv"
+            for text in texts:
+                path.write_bytes(text.encode())
+                data = load_dataset(path)
+                np.testing.assert_array_equal(data.features, [[1.5], [2.0]])
+                np.testing.assert_array_equal(data.labels, [0, 1])
+                self.assertEqual(data.class_names, ("0", "1"))
+
+    def test_writer_bytes_pinned(self):
+        features = [[-0.0, 5e-324, 1e308], [0.1, -0.0, 5e-324], [1e308, 0.1, -0.0],
+                    [5e-324, 1e308, 0.1], [-0.1, -1e308, -5e-324]]
+        data = dataset_from_arrays(features, [-7, 2**40, 3, -7, 3])
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second = Path(tmp) / "first.csv", Path(tmp) / "second.csv"
+            save_dataset(data, first)
+            save_dataset(load_dataset(first), second)
+            written = first.read_bytes()
+            self.assertEqual(second.read_bytes(), written)
+        # the digest of the csv.writer output this writer replaced
+        self.assertEqual(hashlib.sha256(written).hexdigest(),
+                         "3ca1e965049a134671c1d11e10142792e2a56e06431590c8290b3f962c23f980")
+
+
+def loop_load_dataset(path):
+    """The cell-by-cell reader ``load_dataset`` replaced, as a reference.
+
+    The lines marked as deliberate differences reject cells with a
+    digit-group underscore, which Python's ``int`` and ``float`` read.
+    """
+    with open(path, newline="") as handle:
+        reader = csv.reader(handle)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ValueError("dataset file is empty") from None
+        expected_width = len(header)
+        if expected_width < 2 or header[0] != "label":
+            raise ValueError(f"line 1: header must be label,f0,..., got {header!r}")
+        raw_labels, rows = [], []
+        for line_no, row in enumerate(reader, start=2):
+            if len(row) != expected_width:
+                raise ValueError(
+                    f"line {line_no}: expected {expected_width} cells, got {len(row)}"
+                )
+            try:
+                raw_labels.append(int(row[0]))
+            except ValueError:
+                raise ValueError(f"line {line_no}: non-integer label {row[0]!r}") from None
+            if "_" in row[0]:  # deliberate difference
+                raise ValueError(
+                    f"line {line_no}: label {row[0]!r} is not a decimal integer within int64"
+                )
+            try:
+                rows.append([float(cell) for cell in row[1:]])
+            except ValueError:
+                raise ValueError(f"line {line_no}: non-numeric feature cell") from None
+            if any("_" in cell for cell in row[1:]):  # deliberate difference
+                raise ValueError(f"line {line_no}: non-numeric feature cell")
+    if not rows:
+        raise ValueError("dataset file has no data rows")
+    return dataset_from_arrays(np.array(rows), np.array(raw_labels))
+
+
+# the dataset cells of test_cli's csv_text, then cells that probe the parser
+CELLS = ["label", "f0", "0", "1", "nan", "x", "", "2", "0.5", "-1",
+         " 1", "+1", '"2"', "1_0", "-0.0", "5e-324", "1e308", "inf"]
+
+
+def mostly(common, rare, odds):
+    """Draws from ``rare`` when a k drawn from 1..odds equals odds, else from ``common``."""
+    return st.integers(1, odds).flatmap(lambda k: rare if k == odds else common)
+
+
+@st.composite
+def csv_files(draw):
+    """Small dataset CSVs, about a third of which both readers load."""
+    width = draw(st.integers(1, 3))
+    any_cell = st.sampled_from(CELLS)
+    label = mostly(st.sampled_from(["0", "1", " 1", "+1", '"2"']), any_cell, 20)
+    feature = mostly(st.sampled_from(["0", "1", "2", "0.5", "-1", " 1", "+1", '"2"', "-0.0",
+                                      "5e-324", "1e308"]), any_cell, 30)
+    odd_row = st.lists(any_cell, max_size=3)
+    header = mostly(st.just(["label"] + [f"f{i}" for i in range(width)]), odd_row, 8)
+    row = st.tuples(label, *[feature] * width)
+    rows = [draw(header)] + draw(st.lists(mostly(row, odd_row, 10), max_size=8))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    text = end.join(",".join(r) for r in rows)
+    return text + end if draw(st.booleans()) else text
+
+
+class TestReaderMatchesLoopReader(unittest.TestCase):
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(csv_files())
+    def test_same_verdict_message_and_bits(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "data.csv"
+            path.write_bytes(text.encode())
+            outcomes = []
+            for read in (loop_load_dataset, load_dataset):
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    try:
+                        outcomes.append(read(path))
+                    except ValueError as exc:
+                        outcomes.append(str(exc))
+                self.assertEqual(caught, [])
+        expected, got = outcomes
+        if isinstance(expected, str):
+            self.assertEqual(got, expected)
+            return
+        self.assertIsInstance(got, Dataset)
+        self.assertEqual(got.features.tobytes(), expected.features.tobytes())
+        self.assertEqual(got.features.shape, expected.features.shape)
+        np.testing.assert_array_equal(got.labels, expected.labels)
+        self.assertEqual(got.class_names, expected.class_names)
 
 
 class TestSplit(unittest.TestCase):

@@ -695,6 +695,16 @@ class TestMalformedInput(unittest.TestCase):
     def test_width_mc_zero_dimension(self):
         self.assert_domain_error(["width-mc", "--alpha", "0.5", "--n", "0"])
 
+    def test_classify_label_beyond_int64_names_its_line(self):
+        with tempfile.TemporaryDirectory() as tmp:
+            data = Path(tmp) / "data.csv"
+            data.write_text("label,f0\n99999999999999999999999,1.0\n0,2.0\n1,3.0\n0,1.5\n"
+                            "1,2.5\n0,0.1\n")
+            code, _, err = run_cli(["classify", "--data", str(data)])
+        self.assertEqual(code, 1, err)
+        self.assertEqual(err.splitlines()[-1], "error: line-2")
+        self.assertNotIn("Traceback", err)
+
     def test_memory_error_is_one_error_line(self):
         # the sweep is mocked: a real allocation this large could exhaust the
         # host's memory where the kernel overcommits
@@ -748,15 +758,33 @@ dims = mostly(st.integers(1, 3), st.integers(0, 4))
 pairs = mostly(dims.flatmap(lambda n: st.fixed_dictionaries({"e1": BODIES[n], "e2": BODIES[n]})),
                json_values)
 class_lists = dims.flatmap(lambda n: st.lists(BODIES[n], min_size=2, max_size=4))
-# rows of features labelled 0, 1, 0, 1, ... in turn, or a few arbitrary cells
-csv_text = st.integers(1, 3).flatmap(lambda width: mostly(
-    st.lists(st.lists(st.sampled_from(["0", "1", "2", "0.5", "-1"]),
-                      min_size=width, max_size=width), min_size=6, max_size=10)
-    .map(lambda rows: [["label"] + [f"f{i}" for i in range(width)]]
-         + [[str(i % 2)] + row for i, row in enumerate(rows)]),
-    st.lists(st.lists(st.sampled_from(["label", "f0", "0", "1", "nan", "x", ""]), max_size=3),
-             max_size=4),
-)).map(lambda rows: "".join(",".join(row) + "\n" for row in rows))
+
+
+def labelled_rows(width):
+    """A header and rows of features labelled 0, 1, 0, 1, ... in turn."""
+    rows = st.lists(st.lists(st.sampled_from(["0", "1", "2", "0.5", "-1"]),
+                             min_size=width, max_size=width), min_size=6, max_size=10)
+    return rows.map(lambda rows: [["label"] + [f"f{i}" for i in range(width)]]
+                    + [[str(i % 2)] + row for i, row in enumerate(rows)])
+
+
+# a data row blanked, its label quoted, or its label beyond int64
+SPOILS = (lambda row: [], lambda row: [f'"{row[0]}"'] + row[1:],
+          lambda row: ["99999999999999999999999"] + row[1:])
+
+
+def spoiled(rows):
+    """``rows`` with one data row spoiled."""
+    pick = st.tuples(st.integers(1, len(rows) - 1), st.sampled_from(SPOILS))
+    return pick.map(lambda p: rows[:p[0]] + [p[1](rows[p[0]])] + rows[p[0] + 1:])
+
+
+arbitrary_rows = st.lists(
+    st.lists(st.sampled_from(["label", "f0", "0", "1", "nan", "x", ""]), max_size=3), max_size=4)
+# labelled rows; one time in three a few arbitrary cells, or labelled rows spoiled
+csv_text = st.integers(1, 3).map(labelled_rows).flatmap(
+    lambda labelled: mostly(labelled, arbitrary_rows | labelled.flatmap(spoiled), odds=3)
+).map(lambda rows: "".join(",".join(row) + "\n" for row in rows))
 small = mostly(st.integers(2, 6).map(str), st.sampled_from(["1", "0", "-1", "x"]))
 reals = mostly(st.sampled_from(["0.1", "0.3", "0.5", "0.7", "1", "2.5"]),
                st.sampled_from(["0", "-1", "nan", "inf", "abc"]))
@@ -806,7 +834,8 @@ work = mostly(st.integers(2, 3), st.integers(-1, 1)).map(str)
 
 
 class TestEveryInputExits(unittest.TestCase):
-    @settings(max_examples=15, deadline=None, derandomize=True)
+    # 25 derandomized examples draw each spoiled dataset CSV at least once
+    @settings(max_examples=25, deadline=None, derandomize=True)
     @given(st.data())
     def test_dispatch_returns_0_1_or_2(self, data):
         for command, flags in FLAGS.items():
