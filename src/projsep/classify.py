@@ -12,6 +12,7 @@ Dataset CSV schema: header ``label,f0,f1,...``; report CSV schema:
 from __future__ import annotations
 
 import csv
+import io
 import math
 import time
 import warnings
@@ -94,31 +95,37 @@ def dataset_from_arrays(features, labels, class_names=None) -> Dataset:
     return Dataset(np.asarray(features, dtype=float), remapped, tuple(class_names))
 
 
-_LINE_ENDS = ("\n", "\r\n", "\r")
 _INT64 = range(-(2**63), 2**63)
+# On an ASCII line with a comma, np.loadtxt (labels left as text) either
+# fails or reads what the csv module, int and float read, unless the line
+# holds a quote, which it keeps, or one of these separators, which it
+# strips as whitespace.
+_NOT_FAST = ('"', "\x1c", "\x1d", "\x1e", "\x1f")
 
 
 def load_dataset(path) -> Dataset:
     """Read ``label,f0,...`` CSV; labels are remapped to 0..K-1 sorted.
 
     Accepted format: a header ``label,f0,...`` with at least one feature,
-    then one record per sample with as many cells as the header. Labels
-    are decimal integers within int64, features decimal floats (``nan``
-    and ``inf`` parse but the dataset rejects them); both may carry
-    surrounding whitespace and a sign. Lines end in LF or CRLF, cells
-    may be quoted as the csv module quotes them, and there are no blank
-    lines and no comments. Digit-group underscores (``1_0``) and
-    non-ASCII digits, which Python's ``int`` and ``float`` read, are
-    rejected.
-
-    The body is parsed by one streaming ``np.loadtxt`` pass. When that
-    fails or skips a blank line, the records are read again only to name
-    the first fault, counting the header as line 1: ``line N: expected W
-    cells, got C``, ``line N: non-integer label 'x'``, ``line N: label
-    '...' is not a decimal integer within int64`` or ``line N:
+    then one csv record per sample with as many cells as the header, each
+    label a Python ``int`` within int64 and each feature a Python
+    ``float`` (``nan`` and ``inf`` parse but the dataset rejects them).
+    Lines end in LF or CRLF and cells may be quoted as the csv module
+    quotes them; a blank line is a record of no cells and there are no
+    comments. Malformed input raises with the offending line, counting
+    the header as line 1 and each record as one line, however many it
+    spans: ``line N: expected W cells, got C``, ``line N: non-integer
+    label 'x'``, ``line N: label '...' is outside int64`` or ``line N:
     non-numeric feature cell``. A file without records raises ``dataset
     file is empty``, one with a header alone ``dataset file has no data
     rows``.
+
+    The body is parsed by one streaming ``np.loadtxt`` pass, the labels
+    then by ``int``, while every line is ASCII with a comma and without a
+    quote or a separator character (``\\x1c`` to ``\\x1f``); at the first
+    other line, or if ``loadtxt`` fails, the file is read again record by
+    record with the csv module, ``int`` and ``float``, which decide what
+    loads and name the fault.
     """
     path = Path(path)
     with path.open(newline="") as handle:
@@ -132,76 +139,84 @@ def load_dataset(path) -> Dataset:
         width = len(header)
         if width < 2 or header[0] != "label":
             raise ValueError(f"line 1: header must be label,f0,..., got {header!r}")
-        blank_lines = []
+        fast = True
 
-        def body():
+        def fast_lines():
+            nonlocal fast
             for line in handle:
-                if line in _LINE_ENDS:  # np.loadtxt skips it; the csv reader does not
-                    blank_lines.append(line)
+                if not (line.isascii() and "," in line) or any(c in line for c in _NOT_FAST):
+                    fast = False
+                    return
                 yield line
 
-        row_type = np.dtype([("label", np.int64), ("features", np.float64, (width - 1,))])
+        row_type = np.dtype([("label", object), ("features", np.float64, (width - 1,))])
         try:
             with warnings.catch_warnings():
                 # a header alone is reported below
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data")
                 table = np.loadtxt(
-                    body(), dtype=row_type, delimiter=",", comments=None, quotechar='"', ndmin=1
+                    fast_lines(), dtype=row_type, delimiter=",", comments=None, ndmin=1
                 )
         except ValueError:
-            _raise_first_fault(path, width)
-            raise
-    if blank_lines:
-        _raise_first_fault(path, width)
+            fast = False
+    if not fast:
+        return _read_records(path, width)
     if table.size == 0:
         raise ValueError("dataset file has no data rows")
-    return dataset_from_arrays(table["features"], table["label"])
+    labels = [_label(cell, line_no) for line_no, cell in enumerate(table["label"], start=2)]
+    return dataset_from_arrays(table["features"], labels)
 
 
-def _plain(cell: str) -> bool:
-    """Whether ``np.loadtxt`` reads a cell that Python's ``int`` or ``float`` reads."""
-    return "_" not in cell and cell.strip().isascii()
+def _label(cell: str, line_no: int) -> int:
+    try:
+        label = int(cell)
+    except ValueError:
+        raise ValueError(f"line {line_no}: non-integer label {cell!r}") from None
+    if label not in _INT64:
+        raise ValueError(f"line {line_no}: label {cell!r} is outside int64")
+    return label
 
 
-def _raise_first_fault(path: Path, width: int) -> None:
-    """Raise at the first record of the body that ``load_dataset`` rejects.
-
-    Returns when there is none; builds no arrays.
-    """
+def _read_records(path: Path, width: int) -> Dataset:
+    """``load_dataset``'s record-by-record reader, for the body after the header."""
     with path.open(newline="") as handle:
         reader = csv.reader(handle)
         next(reader)
+        labels: list[int] = []
+        rows: list[list[float]] = []
         line_no = 1
         try:
             for line_no, row in enumerate(reader, start=2):
                 if len(row) != width:
                     raise ValueError(f"line {line_no}: expected {width} cells, got {len(row)}")
+                labels.append(_label(row[0], line_no))
                 try:
-                    label = int(row[0])
-                except ValueError:
-                    raise ValueError(f"line {line_no}: non-integer label {row[0]!r}") from None
-                if not (_plain(row[0]) and label in _INT64):
-                    raise ValueError(
-                        f"line {line_no}: label {row[0]!r} is not a decimal integer within int64"
-                    )
-                try:
-                    for cell in row[1:]:
-                        float(cell)
+                    rows.append([float(cell) for cell in row[1:]])
                 except ValueError:
                     raise ValueError(f"line {line_no}: non-numeric feature cell") from None
-                if not all(map(_plain, row[1:])):
-                    raise ValueError(f"line {line_no}: non-numeric feature cell")
         except csv.Error as exc:
             raise ValueError(f"line {line_no + 1}: {exc}") from None
+    if not rows:
+        raise ValueError("dataset file has no data rows")
+    return dataset_from_arrays(np.array(rows), labels)
+
+
+def _csv_cell(text: str) -> str:
+    """``text`` as ``csv.writer`` spells it as one cell of a longer row."""
+    out = io.StringIO()
+    csv.writer(out).writerow([text, ""])
+    return out.getvalue()[: -len(",\r\n")]
 
 
 def save_dataset(data: Dataset, path) -> None:
     """Write the dataset CSV; floats use repr so a reload is bit-exact.
 
-    The bytes are those of ``csv.writer``: CRLF line ends, and no cell
-    needs quoting, since class names are label spellings (integers).
+    The bytes are those of ``csv.writer`` with its CRLF line ends: each
+    class name is spelled once as it would spell it, and a float's repr
+    never needs quoting.
     """
     names = data.class_names or tuple(str(i) for i in range(data.n_classes))
+    names = [_csv_cell(name) for name in names]
     path = Path(path)
     with path.open("w", newline="") as handle:
         csv.writer(handle).writerow(["label"] + [f"f{i}" for i in range(data.n_features)])

@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import io
 import tempfile
 import unittest
 import warnings
@@ -123,12 +124,14 @@ class TestDatasetIO(unittest.TestCase):
             "": "dataset file is empty",
             "x,f0\n0,1\n": "line 1: header must be label,f0,..., got ['x', 'f0']",
             "label,f0\n0,nan\n1,2\n": "features contain non-finite entries",
-            # the csv-and-float reader this one replaced read 1_0 as 10 and overflowed on
-            # the long label
-            "label,f0\n0,1\n1_0,2\n": "line 3: label '1_0' is not a decimal integer within int64",
-            "label,f0\n0,1\n1,1_0\n": "line 3: non-numeric feature cell",
+            # the csv-and-float reader this one replaced overflowed on these labels
             "label,f0\n0,1\n99999999999999999999999,2\n":
-                "line 3: label '99999999999999999999999' is not a decimal integer within int64",
+                "line 3: label '99999999999999999999999' is outside int64",
+            "label,f0\n0,1\n1,2\n" + str(-(2**63) - 1) + ",3\n":
+                f"line 4: label '{-(2**63) - 1}' is outside int64",
+            # read record by record: an underscore, a quote, a character past ASCII
+            "label,f0\n0,1\n1,2\n0,1_0\n1_0,x\n": "line 5: non-numeric feature cell",
+            'label,f0\n0,1\n"1",2\n0,\u0661\n0,1\x1c\n': "line 5: non-numeric feature cell",
             # csv's field size limit, which used to escape as csv.Error
             "label,f" + "0" * 140000 + "\n0,1\n1,2\n":
                 "line 1: field larger than field limit (131072)",
@@ -160,6 +163,29 @@ class TestDatasetIO(unittest.TestCase):
                 np.testing.assert_array_equal(data.labels, [0, 1])
                 self.assertEqual(data.class_names, ("0", "1"))
 
+    def test_cells_float_and_int_read_are_read(self):
+        # each line sends the rest of the file to the record-by-record reader
+        text = ("label,f0\n0,1\n1_0,2\n0,1_0\n10,\u0661\n0,\u30002\n"
+                + f"{2**63 - 1},3\n0,1\n")
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "data.csv"
+            path.write_bytes(text.encode())
+            data = load_dataset(path)
+        np.testing.assert_array_equal(data.features, [[1], [2], [10], [1], [2], [3], [1]])
+        np.testing.assert_array_equal(data.labels, [0, 1, 0, 1, 0, 2, 0])
+        self.assertEqual(data.class_names, ("0", "10", str(2**63 - 1)))
+
+    def test_every_ascii_character_reads_as_the_loop_reader(self):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "data.csv"
+            for char in map(chr, range(128)):
+                for cell in (char, "1" + char, char + "1", "1" + char + "2", '"1"' + char):
+                    for text in (f"label,f0\n0,{cell}\n1,2\n", f"label,f0\n{cell},1\n1,2\n"):
+                        with self.subTest(text=text):
+                            path.write_bytes(text.encode())
+                            self.assertEqual(*[outcome(read, path)
+                                               for read in (loop_load_dataset, load_dataset)])
+
     def test_writer_bytes_pinned(self):
         features = [[-0.0, 5e-324, 1e308], [0.1, -0.0, 5e-324], [1e308, 0.1, -0.0],
                     [5e-324, 1e308, 0.1], [-0.1, -1e308, -5e-324]]
@@ -174,12 +200,26 @@ class TestDatasetIO(unittest.TestCase):
         self.assertEqual(hashlib.sha256(written).hexdigest(),
                          "3ca1e965049a134671c1d11e10142792e2a56e06431590c8290b3f962c23f980")
 
+    def test_writer_spells_any_class_name_as_csv_writer(self):
+        names = ("", "a,b", 'say "x"', "two\nlines", " 1", "plain")
+        features = np.arange(12.0).reshape(6, 2) / 7
+        data = Dataset(features, [0, 1, 2, 3, 4, 5], names)
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected)
+        writer.writerow(["label", "f0", "f1"])
+        for name, row in zip(names, features):
+            writer.writerow([name] + [repr(float(v)) for v in row])
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "data.csv"
+            save_dataset(data, path)
+            self.assertEqual(path.read_bytes(), expected.getvalue().encode())
+
 
 def loop_load_dataset(path):
     """The cell-by-cell reader ``load_dataset`` replaced, as a reference.
 
-    The lines marked as deliberate differences reject cells with a
-    digit-group underscore, which Python's ``int`` and ``float`` read.
+    The line marked as a deliberate difference names a label beyond
+    int64, on which the replaced reader overflowed.
     """
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
@@ -200,24 +240,33 @@ def loop_load_dataset(path):
                 raw_labels.append(int(row[0]))
             except ValueError:
                 raise ValueError(f"line {line_no}: non-integer label {row[0]!r}") from None
-            if "_" in row[0]:  # deliberate difference
-                raise ValueError(
-                    f"line {line_no}: label {row[0]!r} is not a decimal integer within int64"
-                )
+            if not -(2**63) <= raw_labels[-1] < 2**63:  # deliberate difference
+                raise ValueError(f"line {line_no}: label {row[0]!r} is outside int64")
             try:
                 rows.append([float(cell) for cell in row[1:]])
             except ValueError:
                 raise ValueError(f"line {line_no}: non-numeric feature cell") from None
-            if any("_" in cell for cell in row[1:]):  # deliberate difference
-                raise ValueError(f"line {line_no}: non-numeric feature cell")
     if not rows:
         raise ValueError("dataset file has no data rows")
     return dataset_from_arrays(np.array(rows), np.array(raw_labels))
 
 
+def outcome(read, path):
+    """``read(path)`` as comparable bytes, or its ValueError's message; no warning allowed."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            data = read(path)
+        except ValueError as exc:
+            return str(exc)
+    return (data.features.tobytes(), data.features.shape, data.labels.tobytes(),
+            data.class_names)
+
+
 # the dataset cells of test_cli's csv_text, then cells that probe the parser
 CELLS = ["label", "f0", "0", "1", "nan", "x", "", "2", "0.5", "-1",
-         " 1", "+1", '"2"', "1_0", "-0.0", "5e-324", "1e308", "inf"]
+         " 1", "+1", '"2"', "1_0", "-0.0", "5e-324", "1e308", "inf",
+         "99999999999999999999999"]
 
 
 def mostly(common, rare, odds):
@@ -249,24 +298,7 @@ class TestReaderMatchesLoopReader(unittest.TestCase):
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "data.csv"
             path.write_bytes(text.encode())
-            outcomes = []
-            for read in (loop_load_dataset, load_dataset):
-                with warnings.catch_warnings(record=True) as caught:
-                    warnings.simplefilter("always")
-                    try:
-                        outcomes.append(read(path))
-                    except ValueError as exc:
-                        outcomes.append(str(exc))
-                self.assertEqual(caught, [])
-        expected, got = outcomes
-        if isinstance(expected, str):
-            self.assertEqual(got, expected)
-            return
-        self.assertIsInstance(got, Dataset)
-        self.assertEqual(got.features.tobytes(), expected.features.tobytes())
-        self.assertEqual(got.features.shape, expected.features.shape)
-        np.testing.assert_array_equal(got.labels, expected.labels)
-        self.assertEqual(got.class_names, expected.class_names)
+            self.assertEqual(*[outcome(read, path) for read in (loop_load_dataset, load_dataset)])
 
 
 class TestSplit(unittest.TestCase):
