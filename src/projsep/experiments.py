@@ -122,6 +122,8 @@ def run_cone_phase(n: int, alphas, ms, trials: int, seed: int) -> PhaseGrid:
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     alphas = tuple(float(a) for a in alphas)
+    if not alphas:
+        raise ValueError("need at least one cone half-angle")
     ms = _validate_axis2(ms)
     if ms[-1] > n:
         raise ValueError("projected dimensions must not exceed the ambient dimension")
@@ -207,12 +209,14 @@ def run_ellipsoid_phase(
     open bracket is probed, and one decision serves every gap whose
     bracket holds that probe, since at one prefix the gaps differ only in
     the scale of the centres (the dual function scales as ``zeta**2``).
-    The trials' bisections advance in lockstep, one step at a time, and
-    at each step the trials that probe the same M are decided as one
-    stack (``separation._decide_stack``), which shares the SVD and
-    ``eigh`` calls and gives each trial the verdicts it would get alone.
-    An Indeterminate verdict is a failure, tallied in the probed cell
-    where it was decided.
+    The trials' bisections share their decisions largest prefix first:
+    each pass decides, as one stack (``separation._decide_stack``), every
+    unfinished trial whose next probe is the largest M any of them probes
+    next. A stack shares the SVD and ``eigh`` calls and gives each trial
+    the verdicts it would get alone, and a trial's probes follow only its
+    own verdicts, so neither the grouping nor the order of the stacks
+    changes what a trial adds to the grid. An Indeterminate verdict is a
+    failure, tallied in the probed cell where it was decided.
 
     Unprojected pairs are never prefiltered; their status (one stack of
     every trial, deciding every gap) and the mean squared width bound per
@@ -234,6 +238,8 @@ def run_ellipsoid_phase(
     if variant not in ("general", "hyperplane"):
         raise ValueError(f"variant must be 'general' or 'hyperplane', got {variant!r}")
     zetas = tuple(float(z) for z in zetas)
+    if not zetas:
+        raise ValueError("need at least one center gap")
     if not all(0.0 <= z < math.inf for z in zetas):
         raise ValueError("center gaps must be finite and >= 0")
     ms = _validate_axis2(ms)
@@ -287,15 +293,15 @@ def run_ellipsoid_phase(
             break
         widest = np.argmax(hi[live] - lo[live], axis=1)
         mids = (lo[live, widest] + hi[live, widest] - 1) // 2
-        for mid in np.unique(mids).tolist():
-            group = live[mids == mid]
-            probed = (lo[group] <= mid) & (mid < hi[group])
-            m = ms[mid]
-            states = decide(halves[group, :m], images1[group, :m], images2[group, :m], probed)
-            disjoint = states == DISJOINT
-            hi[group] = np.where(probed & disjoint, mid, hi[group])
-            lo[group] = np.where(probed & ~disjoint, mid + 1, lo[group])
-            indet[:, mid] += np.sum(states == INDETERMINATE, axis=0)
+        mid = int(mids.max())
+        group = live[mids == mid]
+        probed = (lo[group] <= mid) & (mid < hi[group])
+        m = ms[mid]
+        states = decide(halves[group, :m], images1[group, :m], images2[group, :m], probed)
+        disjoint = states == DISJOINT
+        hi[group] = np.where(probed & disjoint, mid, hi[group])
+        lo[group] = np.where(probed & ~disjoint, mid + 1, lo[group])
+        indet[:, mid] += np.sum(states == INDETERMINATE, axis=0)
     successes = np.sum(np.arange(len(ms)) >= lo[:, :, None], axis=0)
     # least_counts[i, j]: trials whose least disjoint prefix is ms[j]; j = len(ms): none
     least_counts = np.zeros((len(zetas), len(ms) + 1), dtype=np.int64)

@@ -13,8 +13,8 @@ maximization decide the pair at every such scale. The one solver,
 at its own open scales, with one stacked SVD, one stacked ``eigh`` per
 rank and array operations for the rest, and gives every pair, bit for
 bit, the verdicts it gets as a stack of one. The ellipsoid sweep stacks
-the trials that probe the same projected dimension at one step of their
-bisections, with a trial's center gaps as the scales; ``decide_disjoint``
+the trials whose bisections probe the same projected dimension next,
+with a trial's center gaps as the scales; ``decide_disjoint``
 is a stack of one pair at the scale 1. Every verdict is checked before
 it is returned.
 """

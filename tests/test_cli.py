@@ -239,6 +239,20 @@ class TestGridRanges(unittest.TestCase):
         # cap + 1 half-angles in [0, 1]: a cheap sweep when not rejected
         self.assert_one_error_line(f"0:{step}:1")
 
+    def test_empty_grid_is_a_domain_error(self):
+        for command, error in (("cone-phase", "error: need-at-least-one-cone-half-angle"),
+                               ("ellipsoid-phase", "error: need-at-least-one-center-gap")):
+            with self.subTest(command), tempfile.TemporaryDirectory() as tmp:
+                out = Path(tmp) / "x.csv"
+                code, _, err = run_cli([command, "--n", "5", "--grid", ",", "--trials", "2",
+                                        "--out", str(out)])
+                self.assertEqual(code, 1, err)
+                self.assertNotIn("Traceback", err)
+                self.assertEqual([line for line in err.splitlines() if line.startswith("error:")],
+                                 [error])
+                self.assertEqual(err.splitlines()[-1], error)
+                self.assertFalse(out.exists())
+
 
 class TestUsageErrors(unittest.TestCase):
     def test_no_arguments(self):

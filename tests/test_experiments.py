@@ -5,6 +5,7 @@ import math
 import tempfile
 import unittest
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -194,6 +195,10 @@ class TestRunConePhase(unittest.TestCase):
         with self.assertRaises(ValueError):
             run_cone_phase(10, [0.3], [5, 11], trials=2, seed=0)
 
+    def test_empty_angle_grid_is_rejected(self):
+        with self.assertRaisesRegex(ValueError, "^need at least one cone half-angle$"):
+            run_cone_phase(5, [], [2, 5], trials=2, seed=0)
+
 
 class TestConeReference(unittest.TestCase):
     def test_monte_carlo_oracle(self):
@@ -306,6 +311,11 @@ class TestRunEllipsoidPhase(unittest.TestCase):
                         f"{variant}, seed {seed}, ms {ms}",
                     )
 
+    def test_empty_gap_grid_is_rejected(self):
+        for variant in ("general", "hyperplane"):
+            with self.assertRaisesRegex(ValueError, "^need at least one center gap$"):
+                run_ellipsoid_phase(5, [], [2, 5], trials=2, seed=0, variant=variant)
+
     def test_variant_validated(self):
         with self.assertRaises(ValueError):
             run_ellipsoid_phase(5, [4.0], [2], trials=2, seed=0, variant="spherical")
@@ -320,9 +330,9 @@ class TestRunEllipsoidPhase(unittest.TestCase):
 
 class TestEllipsoidSweepRecord(unittest.TestCase):
     def test_verdicts_at_the_benchmark_geometry_are_checked(self):
-        # every certificate and witness of every pair that the lockstep
-        # bisection stacked, rechecked on that pair alone, and the grid
-        # against a scan of every M
+        # every certificate and witness of every pair that the bisections
+        # stacked, rechecked on that pair alone, and the grid against a scan
+        # of every M
         n, zetas, ms, trials, seed = 40, (100.0, 200.0, 300.0, 400.0), tuple(range(1, 41)), 4, 2024
         decided = []  # per pair of each stack: (c1, c2, b1, b2, [(scale, verdict), ...])
         stacks = []
@@ -348,12 +358,88 @@ class TestEllipsoidSweepRecord(unittest.TestCase):
         # the probes are distinct prefixes, so a trial makes at most len(ms) calls
         self.assertLessEqual(record["calls"], trials * len(ms))
         self.assertLess(record["calls"], record["verdicts"])
-        # trials that probe the same prefix at the same step share a stack
+        # trials whose next probe is the same prefix share a stack
         self.assertLess(len(stacks), record["calls"])
         disjoint, indeterminate, _ = ellipsoid_reference(n, zetas, ms, trials, seed, "hyperplane")
         np.testing.assert_array_equal(grid.successes, disjoint)
         np.testing.assert_array_equal(grid.indeterminate, 0)
         np.testing.assert_array_equal(indeterminate, 0)
+
+    def test_stack_grouping_does_not_change_a_grid(self):
+        # each pair decided as a stack of one must give the same counts and
+        # record, decisions included, as the stacks the sweep forms
+        def one_by_one(c1, c2, b1, b2, scales, open_):
+            stacks = [_decide_stack(c1[p:p + 1], c2[p:p + 1], b1[p:p + 1], b2[p:p + 1],
+                                    scales, open_[p:p + 1]) for p in range(len(c1))]
+            return SimpleNamespace(states=np.concatenate([s.states for s in stacks]),
+                                   decomposed=np.concatenate([s.decomposed for s in stacks]))
+
+        for name, ((n, zetas, trials, seed, variant), _, _) in PINNED_SWEEPS.items():
+            args = (n, zetas, range(1, n + 1), trials, seed)
+            stacked = run_ellipsoid_phase(*args, variant=variant)
+            with mock.patch.object(experiments, "_decide_stack", one_by_one):
+                alone = run_ellipsoid_phase(*args, variant=variant)
+            np.testing.assert_array_equal(alone.successes, stacked.successes, name)
+            np.testing.assert_array_equal(alone.indeterminate, stacked.indeterminate, name)
+            for grid in (alone, stacked):
+                del grid.meta["timestamp"]
+            self.assertEqual(alone.meta, stacked.meta, name)
+
+    def test_schedule_decides_the_largest_pending_prefix_first(self):
+        n, zetas, trials, seed = 40, (100.0, 200.0, 300.0, 400.0), 21, 2024
+        ms = tuple(range(1, n + 1))
+        axis = np.eye(n)[0]
+        halves = []  # each trial's projected half centre, which names its pairs
+        for t in range(trials):
+            rng = substream(seed, ELLIPSOID_HYPERPLANE_KIND, t)
+            for _ in range(2):
+                sample_wishart_shape(n, rng, constrained_axis=axis)
+            halves.append(0.5 * (rng.standard_normal((n, n)) @ axis))
+        halves = np.array(halves)
+        stacks = []  # per stack: its prefix and, per pair, (trial, open gaps, states)
+
+        def recording(c1, c2, b1, b2, scales, open_):
+            stack = _decide_stack(c1, c2, b1, b2, scales, open_)
+            m = c1.shape[1]
+            self.assertTrue(all(a.shape[1] == m for a in (c2, b1, b2)))
+            pairs = []
+            for p in range(len(c1)):
+                (trial,) = np.flatnonzero((halves[:, :m] == c1[p]).all(axis=1))
+                pairs.append((int(trial), open_[p].copy(), stack.states[p].copy()))
+            stacks.append((m, pairs))
+            return stack
+
+        with mock.patch.object(experiments, "_decide_stack", recording):
+            grid = run_ellipsoid_phase(n, zetas, ms, trials, seed, variant="hyperplane")
+        # 76 when the bisections were decided one step at a time
+        self.assertEqual(len(stacks), 36)
+        self.assertEqual(sum(len(pairs) for _, pairs in stacks), grid.meta["decisions"]["calls"])
+        # replay every trial's widest-bracket bisection on its own verdicts
+        lo = np.zeros((trials, len(zetas)), dtype=np.int64)
+        hi = np.full((trials, len(zetas)), len(ms))
+
+        def next_probe(t):
+            if np.all(lo[t] >= hi[t]):
+                return None
+            widest = np.argmax(hi[t] - lo[t])
+            return (lo[t, widest] + hi[t, widest] - 1) // 2
+
+        for m, pairs in stacks:
+            members = [trial for trial, _, _ in pairs]
+            self.assertEqual(len(set(members)), len(members))
+            probes = {t: next_probe(t) for t in range(trials)}
+            mid = max(probe for probe in probes.values() if probe is not None)
+            # the stack is every unfinished trial whose next probe is the largest
+            self.assertEqual(ms[mid], m)
+            self.assertEqual(sorted(members), [t for t in range(trials) if probes[t] == mid])
+            for trial, probed, states in pairs:
+                np.testing.assert_array_equal(probed, (lo[trial] <= mid) & (mid < hi[trial]))
+                disjoint = probed & (states == DISJOINT)
+                hi[trial] = np.where(disjoint, mid, hi[trial])
+                lo[trial] = np.where(probed & ~disjoint, mid + 1, lo[trial])
+        self.assertTrue(all(next_probe(t) is None for t in range(trials)))
+        successes = np.sum(np.arange(len(ms)) >= lo[:, :, None], axis=0)
+        np.testing.assert_array_equal(grid.successes, successes)
 
     def test_m_star_summarizes_each_trials_step(self):
         n, zetas, trials = 8, (0.0, 4.0, 10.0, 25.0), 12
