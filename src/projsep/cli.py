@@ -43,9 +43,11 @@ MAX_GRID_POINTS = 100_000
 
 
 def _slug(message: str) -> str:
-    head = message.split("\n", 1)[0].split(":", 1)[0]
-    slug = re.sub(r"[^a-z0-9]+", "-", head.lower()).strip("-")
-    return slug or "domain-error"
+    """The first line's text before its first colon as a slug, then ``: `` and the rest, if any."""
+    head, _, reason = message.split("\n", 1)[0].partition(":")
+    slug = re.sub(r"[^a-z0-9]+", "-", head.lower()).strip("-") or "domain-error"
+    reason = reason.strip()
+    return f"{slug}: {reason}" if reason else slug
 
 
 def parse_grid(text: str) -> list[float]:

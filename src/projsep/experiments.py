@@ -86,7 +86,15 @@ class TransitionEstimate:
     flag: str | None = None
 
 
-def _validate_axis2(ms) -> tuple[int, ...]:
+def _validate_sweep(n: int, n_min: int, trials: int, params, name: str, ms):
+    """The checks both sweeps make; returns the parameters as floats and ``ms`` as ints."""
+    if n < n_min:
+        raise ValueError(f"ambient dimension must be >= {n_min}, got {n}")
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    params = tuple(float(p) for p in params)
+    if not params:
+        raise ValueError(f"need at least one {name}")
     ms = tuple(int(m) for m in ms)
     if not ms:
         raise ValueError("need at least one projected dimension")
@@ -94,7 +102,9 @@ def _validate_axis2(ms) -> tuple[int, ...]:
         raise ValueError("projected dimensions must be strictly increasing")
     if ms[0] < 1:
         raise ValueError("projected dimensions must be >= 1")
-    return ms
+    if ms[-1] > n:
+        raise ValueError("projected dimensions must not exceed the ambient dimension")
+    return params, ms
 
 
 def run_cone_phase(n: int, alphas, ms, trials: int, seed: int) -> PhaseGrid:
@@ -117,23 +127,12 @@ def run_cone_phase(n: int, alphas, ms, trials: int, seed: int) -> PhaseGrid:
     successful M over the trials that have one, its histogram over ``ms``
     and the count of trials successful at no M of the grid.
     """
-    if n < 1:
-        raise ValueError(f"ambient dimension must be >= 1, got {n}")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    alphas = tuple(float(a) for a in alphas)
-    if not alphas:
-        raise ValueError("need at least one cone half-angle")
-    ms = _validate_axis2(ms)
-    if ms[-1] > n:
-        raise ValueError("projected dimensions must not exceed the ambient dimension")
+    alphas, ms = _validate_sweep(n, 1, trials, alphas, "cone half-angle", ms)
     axis = np.zeros(n)
     axis[0] = 1.0
     cosines = np.array([[math.cos(CircularCone(axis, a).half_angle)] for a in alphas])
     dims = np.array(ms)
-    angles = np.arange(len(alphas))
-    # least_counts[i, j]: trials whose least successful prefix is ms[j]; j = len(ms): none
-    least_counts = np.zeros((len(alphas), len(ms) + 1), dtype=np.int64)
+    least = np.empty((trials, len(alphas)), dtype=np.int64)
     for t in range(trials):
         matrix = substream(seed, CONE_KIND, t).standard_normal((ms[-1], n))
         # raw h is LAPACK's array transposed, so h[-1, j] is R[j, last]
@@ -142,18 +141,9 @@ def run_cone_phase(n: int, alphas, ms, trials: int, seed: int) -> PhaseGrid:
         row_sq = np.cumsum(h[-1, :ms[-1]] ** 2)[dims - 1]
         null_norm = np.sqrt(np.maximum(1.0 - row_sq, 0.0))
         ok = (dims == n) | (cosines > null_norm)
-        least_counts[angles, len(ms) - ok.sum(axis=1)] += 1
-    successes = np.cumsum(least_counts[:, :-1], axis=1)
-    meta = _base_meta(CONE_KIND, n, seed, trials)
-    meta["m_star"] = _m_star_summary(ms, least_counts)
-    return PhaseGrid(
-        axis1=alphas,
-        axis2=ms,
-        trials=trials,
-        successes=successes,
-        indeterminate=np.zeros_like(successes),
-        meta=meta,
-    )
+        least[t] = len(ms) - ok.sum(axis=1)
+    indeterminate = np.zeros((len(alphas), len(ms)), dtype=np.int64)
+    return _phase_grid(CONE_KIND, n, seed, alphas, ms, least, indeterminate, {})
 
 
 def sample_wishart_shape(n: int, seed, constrained_axis=None) -> np.ndarray:
@@ -203,20 +193,10 @@ def run_ellipsoid_phase(
     which are the first M rows of the matrix's images of the shapes and
     of the axis. Every trial is drawn first, in trial order, and only
     those images are kept. Success is a step in M (a common point under
-    M + 1 rows is one under the first M), so bisection over ``ms`` finds
-    each gap's least M certified disjoint, ``M*``. A trial's gaps share
-    one bisection: each keeps its own bracket, the midpoint of the widest
-    open bracket is probed, and one decision serves every gap whose
-    bracket holds that probe, since at one prefix the gaps differ only in
-    the scale of the centres (the dual function scales as ``zeta**2``).
-    The trials' bisections share their decisions largest prefix first:
-    each pass decides, as one stack (``separation._decide_stack``), every
-    unfinished trial whose next probe is the largest M any of them probes
-    next. A stack shares the SVD and ``eigh`` calls and gives each trial
-    the verdicts it would get alone, and a trial's probes follow only its
-    own verdicts, so neither the grouping nor the order of the stacks
-    changes what a trial adds to the grid. An Indeterminate verdict is a
-    failure, tallied in the probed cell where it was decided.
+    M + 1 rows is one under the first M), so ``_bisect`` finds each
+    trial's least M certified disjoint per gap, ``M*``, from those images
+    alone. An Indeterminate verdict is a failure, tallied in the probed
+    cell where it was decided.
 
     Unprojected pairs are never prefiltered; their status (one stack of
     every trial, deciding every gap) and the mean squared width bound per
@@ -231,36 +211,17 @@ def run_ellipsoid_phase(
     iteration cap. The keyword remains because callers still pass it, the
     benchmark harness among them (``max_iter=4000``).
     """
-    if n < 2:
-        raise ValueError(f"ambient dimension must be >= 2, got {n}")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
     if variant not in ("general", "hyperplane"):
         raise ValueError(f"variant must be 'general' or 'hyperplane', got {variant!r}")
-    zetas = tuple(float(z) for z in zetas)
-    if not zetas:
-        raise ValueError("need at least one center gap")
+    zetas, ms = _validate_sweep(n, 2, trials, zetas, "center gap", ms)
     if not all(0.0 <= z < math.inf for z in zetas):
         raise ValueError("center gaps must be finite and >= 0")
-    ms = _validate_axis2(ms)
-    if ms[-1] > n:
-        raise ValueError("projected dimensions must not exceed the ambient dimension")
     kind = ELLIPSOID_GENERAL_KIND if variant == "general" else ELLIPSOID_HYPERPLANE_KIND
     axis = np.zeros(n)
     axis[0] = 1.0
     constrained = axis if variant == "hyperplane" else None
     gaps = np.array(zetas)
-    indet = np.zeros((len(zetas), len(ms)), dtype=np.int64)
     bound_sq = [[] for _ in zetas]
-    decisions = {"calls": 0, "decompositions": 0, "verdicts": 0}
-
-    def decide(centers, shapes1, shapes2, probed) -> np.ndarray:
-        stack = _decide_stack(centers, -centers, shapes1, shapes2, gaps, probed)
-        decisions["calls"] += len(probed)
-        decisions["decompositions"] += int(stack.decomposed.sum())
-        decisions["verdicts"] += int(probed.sum())
-        return stack.states
-
     halves = np.empty((trials, ms[-1]))
     images1, images2 = np.empty((trials, ms[-1], n)), np.empty((trials, ms[-1], n))
     shapes = []
@@ -278,52 +239,96 @@ def run_ellipsoid_phase(
         images1[t], images2[t] = matrix @ shape1, matrix @ shape2
     if variant == "hyperplane":
         # parallel hyperplanes <z, axis> = +/- zeta/2 are disjoint
-        preproj = trials * (gaps > 0.0)
+        preproj, decisions = trials * (gaps > 0.0), {}
     else:
+        # the unprojected pairs are the pairs that the identity's n rows project
         shapes1, shapes2 = (np.array(pair) for pair in zip(*shapes))
         centers = np.broadcast_to(0.5 * axis, (trials, n))
-        preproj = np.sum(decide(centers, shapes1, shapes2, np.ones((trials, len(zetas)), bool))
-                         == DISJOINT, axis=0)
-    # each trial's and gap's least disjoint index of ms lies in [lo, hi]; len(ms): none
-    lo = np.zeros((trials, len(zetas)), dtype=np.int64)
-    hi = np.full((trials, len(zetas)), len(ms))
+        unprojected, _, decisions = _bisect(centers, shapes1, shapes2, gaps, (n,))
+        preproj = np.sum(unprojected == 0, axis=0)
+    least, indet, record = _bisect(halves, images1, images2, gaps, ms)
+    extra = {
+        "variant": variant,
+        "preprojection_disjoint": preproj.tolist(),
+        "mean_sq_bound": [sum(b) / len(b) if b else None for b in bound_sq],
+        "decisions": {key: decisions.get(key, 0) + count for key, count in record.items()},
+    }
+    return _phase_grid(kind, n, seed, zetas, ms, least, indet, extra)
+
+
+def _bisect(halves, images1, images2, gaps, ms: tuple[int, ...]):
+    """Each trial's least index of ``ms`` at which its pair is disjoint, per gap.
+
+    Trial t's pair at prefix M and gap zeta is centred at ``+/- zeta *
+    halves[t, :M]`` with shapes ``images1[t, :M]`` and ``images2[t, :M]``;
+    ``halves`` is (trials, ms[-1]) and the images (trials, ms[-1], n).
+    Disjointness must be a step in M. A trial's gaps share one bisection:
+    each keeps its own bracket, the midpoint of the widest open bracket is
+    probed, and one decision serves every gap whose bracket holds that
+    probe, since at one prefix the gaps differ only in the scale of the
+    centres (the dual function scales as ``zeta**2``). The trials'
+    bisections share their decisions largest prefix first: each pass
+    decides, as one stack (``separation._decide_stack``), every unfinished
+    trial whose next probe is the largest M any of them probes next. A
+    stack shares the SVD and ``eigh`` calls and gives each trial the
+    verdicts it would get alone, and a trial's probes follow only its own
+    verdicts, so neither the grouping nor the order of the stacks changes
+    what a trial's bisection finds. Makes no RNG call.
+
+    Returns the least indices (trials, gaps), ``len(ms)`` where a trial is
+    disjoint at no M of the grid; the Indeterminate verdicts per gap and
+    probed index (gaps, len(ms)); and the ``decisions`` record.
+    """
+    indet = np.zeros((len(gaps), len(ms)), dtype=np.int64)
+    decisions = {"calls": 0, "decompositions": 0, "verdicts": 0}
+    # each trial's and gap's least disjoint index of ms lies in [lo, hi]
+    lo = np.zeros((len(halves), len(gaps)), dtype=np.int64)
+    hi = np.full((len(halves), len(gaps)), len(ms))
     while True:
         live = np.flatnonzero(np.any(lo < hi, axis=1))
         if not live.size:
-            break
+            return lo, indet, decisions
         widest = np.argmax(hi[live] - lo[live], axis=1)
         mids = (lo[live, widest] + hi[live, widest] - 1) // 2
         mid = int(mids.max())
         group = live[mids == mid]
         probed = (lo[group] <= mid) & (mid < hi[group])
         m = ms[mid]
-        states = decide(halves[group, :m], images1[group, :m], images2[group, :m], probed)
-        disjoint = states == DISJOINT
+        centers = halves[group, :m]
+        stack = _decide_stack(centers, -centers, images1[group, :m], images2[group, :m], gaps, probed)
+        decisions["calls"] += len(group)
+        decisions["decompositions"] += int(stack.decomposed.sum())
+        decisions["verdicts"] += int(probed.sum())
+        disjoint = stack.states == DISJOINT
         hi[group] = np.where(probed & disjoint, mid, hi[group])
         lo[group] = np.where(probed & ~disjoint, mid + 1, lo[group])
-        indet[:, mid] += np.sum(states == INDETERMINATE, axis=0)
-    successes = np.sum(np.arange(len(ms)) >= lo[:, :, None], axis=0)
-    # least_counts[i, j]: trials whose least disjoint prefix is ms[j]; j = len(ms): none
-    least_counts = np.zeros((len(zetas), len(ms) + 1), dtype=np.int64)
-    np.add.at(least_counts, (np.arange(len(zetas)), lo), 1)
-    meta = _base_meta(kind, n, seed, trials)
-    meta.update(
-        {
-            "variant": variant,
-            "preprojection_disjoint": preproj.tolist(),
-            "mean_sq_bound": [sum(b) / len(b) if b else None for b in bound_sq],
-            "m_star": _m_star_summary(ms, least_counts),
-            "decisions": decisions,
-        }
-    )
-    return PhaseGrid(
-        axis1=zetas,
-        axis2=ms,
-        trials=trials,
-        successes=successes,
-        indeterminate=indet,
-        meta=meta,
-    )
+        indet[:, mid] += np.sum(stack.states == INDETERMINATE, axis=0)
+
+
+def _phase_grid(kind: str, n: int, seed: int, params, ms, least, indeterminate, extra) -> PhaseGrid:
+    """Tally each trial's least successful index of ``ms`` per parameter.
+
+    ``least`` is (trials, params), ``len(ms)`` where a trial succeeds at no
+    M of the grid. A trial's success is a step in M, so cell (i, j) counts
+    the trials whose least index for ``params[i]`` is at most j. ``meta``
+    holds the configuration, ``extra`` and the ``m_star`` summary.
+    """
+    trials = len(least)
+    # least_counts[i, j]: trials whose least successful prefix is ms[j]; j = len(ms): none
+    least_counts = np.zeros((len(params), len(ms) + 1), dtype=np.int64)
+    np.add.at(least_counts, (np.arange(len(params)), least), 1)
+    successes = np.cumsum(least_counts[:, :-1], axis=1)
+    meta = {
+        "kind": kind,
+        "n": n,
+        "seed": int(seed),
+        "trials": trials,
+        "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+        **extra,
+        "m_star": _m_star_summary(ms, least_counts),
+    }
+    return PhaseGrid(axis1=params, axis2=ms, trials=trials, successes=successes,
+                     indeterminate=indeterminate, meta=meta)
 
 
 def _m_star_summary(ms: tuple[int, ...], least_counts: np.ndarray) -> dict:
@@ -345,16 +350,6 @@ def _m_star_summary(ms: tuple[int, ...], least_counts: np.ndarray) -> dict:
         "std_error": errors,
         "histogram": least_counts[:, :-1].tolist(),
         "none": least_counts[:, -1].tolist(),
-    }
-
-
-def _base_meta(kind: str, n: int, seed: int, trials: int) -> dict:
-    return {
-        "kind": kind,
-        "n": n,
-        "seed": int(seed),
-        "trials": trials,
-        "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
     }
 
 

@@ -92,6 +92,24 @@ def ellipsoid_reference(n, zetas, ms, trials, seed, variant):
     return disjoint, indeterminate, preprojection
 
 
+def sweep_draws(n, ms, trials, seed, variant):
+    """Each trial's projected half axis and shape images, drawn as the ellipsoid sweep draws them.
+
+    Returns ``halves`` (trials, ms[-1]) and ``images1`` and ``images2``
+    (trials, ms[-1], n), the arrays that ``experiments._bisect`` takes.
+    """
+    kind = ELLIPSOID_GENERAL_KIND if variant == "general" else ELLIPSOID_HYPERPLANE_KIND
+    axis = np.eye(n)[0]
+    constrained = axis if variant == "hyperplane" else None
+    draws = []
+    for t in range(trials):
+        rng = substream(seed, kind, t)
+        shape1, shape2 = (sample_wishart_shape(n, rng, constrained_axis=constrained) for _ in range(2))
+        matrix = rng.standard_normal((ms[-1], n))
+        draws.append((0.5 * (matrix @ axis), matrix @ shape1, matrix @ shape2))
+    return tuple(np.array(arrays) for arrays in zip(*draws))
+
+
 def grid_from_ratios(ms, ratios, trials=100):
     successes = np.asarray([[int(round(r * trials)) for r in ratios]])
     return PhaseGrid(
@@ -388,14 +406,8 @@ class TestEllipsoidSweepRecord(unittest.TestCase):
     def test_schedule_decides_the_largest_pending_prefix_first(self):
         n, zetas, trials, seed = 40, (100.0, 200.0, 300.0, 400.0), 21, 2024
         ms = tuple(range(1, n + 1))
-        axis = np.eye(n)[0]
-        halves = []  # each trial's projected half centre, which names its pairs
-        for t in range(trials):
-            rng = substream(seed, ELLIPSOID_HYPERPLANE_KIND, t)
-            for _ in range(2):
-                sample_wishart_shape(n, rng, constrained_axis=axis)
-            halves.append(0.5 * (rng.standard_normal((n, n)) @ axis))
-        halves = np.array(halves)
+        # each trial's projected half centre, which names its pairs
+        halves = sweep_draws(n, ms, trials, seed, "hyperplane")[0]
         stacks = []  # per stack: its prefix and, per pair, (trial, open gaps, states)
 
         def recording(c1, c2, b1, b2, scales, open_):
@@ -470,6 +482,84 @@ class TestEllipsoidSweepRecord(unittest.TestCase):
         record = grid.meta["m_star"]
         np.testing.assert_array_equal(np.cumsum(record["histogram"][0]), grid.successes[0])
         self.assertEqual(len(record["histogram"][0]), 3)
+
+
+# (n, gaps, trials, seed, variant): the CI sweep in both variants and the
+# benchmark geometry at three seeds
+BISECT_GEOMETRIES = (
+    (12, (10.0, 20.0, 40.0), 6, 7, "hyperplane"),
+    (12, (10.0, 20.0, 40.0), 6, 7, "general"),
+    *((40, (100.0, 200.0, 300.0, 400.0), 21, seed, "hyperplane") for seed in (2024, 1, 2)),
+)
+
+
+class TestBisectRelations(unittest.TestCase):
+    """``_bisect`` is a function of its draws, and metamorphic relations hold on it.
+
+    Each relation maps a trial's projected pairs to pairs that are disjoint
+    exactly when the originals are, at every prefix, so no trial's least
+    disjoint index may move. Scaling by a power of two is exact in floating
+    point and must give the same indices and record. The other relations
+    round differently. Where a trial moves under one, each side's pair at
+    every prefix between the two indices is decided alone: its verdict must
+    pass ``assert_checked`` and be the one that side's index implies, so
+    the move is a verdict within rounding of tangency.
+    """
+
+    def assert_same_least(self, label, gaps, ms, draws, least, moved_draws):
+        moved_least, indeterminate, _ = experiments._bisect(*moved_draws, gaps, ms)
+        self.assertEqual(int(indeterminate.sum()), 0, label)
+        for t, i in zip(*np.nonzero(moved_least != least)):
+            for j in range(min(least[t, i], moved_least[t, i]), max(least[t, i], moved_least[t, i])):
+                for (halves, images1, images2), side in ((draws, least), (moved_draws, moved_least)):
+                    c = gaps[i] * halves[t, :ms[j]]
+                    e1, e2 = Ellipsoid(c, images1[t, :ms[j]]), Ellipsoid(-c, images2[t, :ms[j]])
+                    verdict = decide_disjoint(e1, e2)
+                    assert_checked(self, verdict, e1, e2)
+                    self.assertEqual(verdict.state == DISJOINT, j >= side[t, i], label)
+
+    def test_bisect_reproduces_the_sweep_without_drawing(self):
+        for n, zetas, trials, seed, variant in BISECT_GEOMETRIES:
+            label = f"n {n}, seed {seed}, {variant}"
+            ms = tuple(range(1, n + 1))
+            grid = run_ellipsoid_phase(n, zetas, ms, trials, seed, variant=variant)
+            draws = sweep_draws(n, ms, trials, seed, variant)
+            with mock.patch.object(experiments, "substream", side_effect=AssertionError("drew")):
+                least, indeterminate, record = experiments._bisect(*draws, np.array(zetas), ms)
+            self.assertEqual(least.shape, (trials, len(zetas)), label)
+            successes = np.sum(np.arange(len(ms)) >= least.T[:, :, None], axis=1)
+            np.testing.assert_array_equal(successes, grid.successes, label)
+            np.testing.assert_array_equal(indeterminate, grid.indeterminate, label)
+            if variant == "hyperplane":  # the general sweep also decides its unprojected pairs
+                self.assertEqual(record, grid.meta["decisions"], label)
+
+    def test_relations_keep_every_trials_least_index(self):
+        for n, zetas, trials, seed, variant in BISECT_GEOMETRIES:
+            ms, gaps = tuple(range(1, n + 1)), np.array(zetas)
+            draws = halves, images1, images2 = sweep_draws(n, ms, trials, seed, variant)
+            least, _, record = experiments._bisect(*draws, gaps, ms)
+            for power in (-600, 7, 300):
+                scaled = tuple(np.ldexp(a, power) for a in draws)
+                self.assertTrue(all(np.all(np.ldexp(a, -power) == b) for a, b in zip(scaled, draws)))
+                scaled_least, _, scaled_record = experiments._bisect(*scaled, gaps, ms)
+                label = f"n {n}, seed {seed}, {variant}, 2**{power}"
+                np.testing.assert_array_equal(scaled_least, least, label)
+                self.assertEqual(scaled_record, record, label)
+            rng = np.random.default_rng(seed)
+            q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+            lower = np.tril(rng.standard_normal((ms[-1], ms[-1])), -1) / np.sqrt(ms[-1])
+            lower += np.diag(rng.uniform(0.5, 2.0, ms[-1]))
+            relations = {
+                # the bodies swapped, so the first is centred at -zeta * halves
+                "swap": (-halves, images2, images1),
+                # B Q maps the unit ball onto the set that B does
+                "rotation": (halves, images1 @ q, images2 @ q),
+                # a prefix of L x is L's leading block times x's prefix
+                "lower-triangular": (halves @ lower.T, lower @ images1, lower @ images2),
+            }
+            for name, moved in relations.items():
+                self.assert_same_least(f"n {n}, seed {seed}, {variant}, {name}", gaps, ms,
+                                       draws, least, moved)
 
 
 # SHA-256 of the CSV and of the timestamp-free .meta.json that save_phase_grid
