@@ -403,13 +403,13 @@ def _parse_method(method: str, n_features: int) -> tuple[str, int]:
             try:
                 m = int(method.split(":", 1)[1])
             except ValueError:
-                raise ValueError(f"malformed method {method!r}") from None
+                raise ValueError(f"malformed method: {method!r}") from None
             if not 1 <= m <= n_features:
                 raise ValueError(
-                    f"method {method!r} needs M in [1, {n_features}]"
+                    f"method out of range: {method!r} needs M in [1, {n_features}]"
                 )
             return prefix, m
-    raise ValueError(f"unknown method {method!r}; use identity, rp:M, or pca:M")
+    raise ValueError(f"unknown method: {method!r}; use identity, rp:M, or pca:M")
 
 
 def run_pipeline(

@@ -43,8 +43,8 @@ MAX_GRID_POINTS = 100_000
 
 
 def _slug(message: str) -> str:
-    """The first line's text before its first colon as a slug, then ``: `` and the rest, if any."""
-    head, _, reason = message.split("\n", 1)[0].partition(":")
+    """The first line's text before its first ``: `` as a slug, then ``: `` and the rest, if any."""
+    head, _, reason = message.split("\n", 1)[0].partition(": ")
     slug = re.sub(r"[^a-z0-9]+", "-", head.lower()).strip("-") or "domain-error"
     reason = reason.strip()
     return f"{slug}: {reason}" if reason else slug
@@ -55,12 +55,12 @@ def parse_grid(text: str) -> list[float]:
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
-            raise ValueError(f"grid must be lo:step:hi, got {text!r}")
+            raise ValueError(f"malformed grid: expected lo:step:hi, got {text!r}")
         lo, step, hi = (float(p) for p in parts)
         if not all(math.isfinite(v) for v in (lo, step, hi)):
             raise ValueError("grid lo, step and hi must be finite")
         if step <= 0.0 or hi < lo:
-            raise ValueError(f"grid must advance from lo to hi, got {text!r}")
+            raise ValueError(f"grid does not advance: expected step > 0 and hi >= lo, got {text!r}")
         # the range has floor(span) + 1 points; an infinite span has too many
         span = (hi - lo) / step + 1e-9
         if span >= MAX_GRID_POINTS:
@@ -75,7 +75,7 @@ def parse_int_grid(text: str) -> list[int]:
     values = parse_grid(text)
     out = []
     for v in values:
-        if abs(v - round(v)) > 1e-9:
+        if not math.isfinite(v) or abs(v - round(v)) > 1e-9:
             raise ValueError(f"grid value {v} is not an integer")
         out.append(int(round(v)))
     return out
@@ -109,18 +109,23 @@ def _emit(payload: dict, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _echo_config(args: argparse.Namespace, resolved: dict) -> None:
-    config = {"command": args.command, **resolved}
-    print(json.dumps(config, sort_keys=True), file=sys.stderr)
+def _echo_config(args: argparse.Namespace, **resolved) -> None:
+    """Echo the parsed flags, each under its own name, with the values the handler resolved."""
+    config = {key: value for key, value in vars(args).items() if key not in ("handler", "config")}
+    print(json.dumps({**config, **resolved}, sort_keys=True), file=sys.stderr)
 
 
-def _resolve_seed(args: argparse.Namespace) -> int:
-    return fresh_seed() if args.seed is None else int(args.seed)
+def _sweep_axes(args: argparse.Namespace) -> tuple[list[float], list[int]]:
+    """A phase sweep's parameter grid and projected dimensions, echoed with its flags."""
+    grid = parse_grid(args.grid)
+    ms = parse_int_grid(args.ms) if args.ms else list(range(1, args.n + 1))
+    _echo_config(args, grid=grid, ms=ms)
+    return grid, ms
 
 
 def _cmd_bound(args: argparse.Namespace) -> int:
     e1, e2 = _load_pair(args.pair)
-    _echo_config(args, {"pair": args.pair, "eta": args.eta, "out": args.out})
+    _echo_config(args)
     bound = width_bound_ellipsoids(e1, e2)
     if not bound.valid:
         print(f"error: {THEOREM_HYPOTHESIS_REASON}", file=sys.stderr)
@@ -136,49 +141,22 @@ def _cmd_bound(args: argparse.Namespace) -> int:
 
 def _cmd_separate(args: argparse.Namespace) -> int:
     e1, e2 = _load_pair(args.pair)
-    _echo_config(args, {"pair": args.pair, "out": args.out})
+    _echo_config(args)
     verdict = decide_disjoint(e1, e2)
     _emit(verdict.to_dict(), args.out)
     return 0
 
 
 def _cmd_cone_phase(args: argparse.Namespace) -> int:
-    seed = _resolve_seed(args)
-    alphas = parse_grid(args.grid)
-    ms = parse_int_grid(args.ms) if args.ms else list(range(1, args.n + 1))
-    _echo_config(
-        args,
-        {
-            "n": args.n,
-            "grid": alphas,
-            "ms": ms,
-            "trials": args.trials,
-            "seed": seed,
-            "out": args.out,
-        },
-    )
-    grid = run_cone_phase(args.n, alphas, ms, args.trials, seed)
+    alphas, ms = _sweep_axes(args)
+    grid = run_cone_phase(args.n, alphas, ms, args.trials, args.seed)
     save_phase_grid(grid, args.out)
     return 0
 
 
 def _cmd_ellipsoid_phase(args: argparse.Namespace) -> int:
-    seed = _resolve_seed(args)
-    zetas = parse_grid(args.grid)
-    ms = parse_int_grid(args.ms) if args.ms else list(range(1, args.n + 1))
-    _echo_config(
-        args,
-        {
-            "n": args.n,
-            "grid": zetas,
-            "ms": ms,
-            "trials": args.trials,
-            "seed": seed,
-            "variant": args.variant,
-            "out": args.out,
-        },
-    )
-    grid = run_ellipsoid_phase(args.n, zetas, ms, args.trials, seed, variant=args.variant)
+    zetas, ms = _sweep_axes(args)
+    grid = run_ellipsoid_phase(args.n, zetas, ms, args.trials, args.seed, variant=args.variant)
     save_phase_grid(grid, args.out)
     return 0
 
@@ -189,7 +167,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     if not isinstance(entries, list):
         raise ValueError("classes file must hold a list of ellipsoids")
     ellipsoids = [ellipsoid_from_dict(entry) for entry in entries]
-    _echo_config(args, {"classes": args.classes, "p": args.p, "out": args.out})
+    _echo_config(args)
     plan = plan_multiclass(ellipsoids, args.p)
     print(plan.render_table())
     if args.out:
@@ -204,26 +182,20 @@ def _cmd_plan(args: argparse.Namespace) -> int:
 
 
 def _cmd_width_mc(args: argparse.Namespace) -> int:
-    seed = _resolve_seed(args)
     if args.alpha is not None:
         if args.n is None:
             print("error: --alpha requires --n", file=sys.stderr)
             return 2
-        _echo_config(
-            args,
-            {"alpha": args.alpha, "n": args.n, "trials": args.trials, "seed": seed, "out": args.out},
-        )
+        _echo_config(args)
         cone = CircularCone(_first_axis(args.n), args.alpha)
-        bound = mc_width_circular(cone, args.trials, seed)
+        bound = mc_width_circular(cone, args.trials, args.seed)
     else:
         if not args.pair:
             print("error: provide --pair or --alpha with --n", file=sys.stderr)
             return 2
         e1, e2 = _load_pair(args.pair)
-        _echo_config(
-            args, {"pair": args.pair, "trials": args.trials, "seed": seed, "out": args.out}
-        )
-        bound = mc_width_pseudoprojection(e1, e2, args.trials, seed)
+        _echo_config(args)
+        bound = mc_width_pseudoprojection(e1, e2, args.trials, args.seed)
         if not bound.valid:
             print(f"error: {THEOREM_HYPOTHESIS_REASON}", file=sys.stderr)
             return 1
@@ -232,50 +204,25 @@ def _cmd_width_mc(args: argparse.Namespace) -> int:
 
 
 def _cmd_pca_toy(args: argparse.Namespace) -> int:
-    seed = _resolve_seed(args)
-    _echo_config(
-        args,
-        {
-            "kind": args.kind,
-            "n": args.n,
-            "radius": args.radius,
-            "center_norm": args.center_norm,
-            "samples": args.samples,
-            "seed": seed,
-            "out": args.out,
-        },
-    )
+    _echo_config(args)
     if args.kind == "two-balls":
         center = _first_axis(args.n, args.center_norm)
-        points = toy_two_balls(args.n, center, args.radius, args.samples, seed)
+        points = toy_two_balls(args.n, center, args.radius, args.samples, args.seed)
     else:
-        points = toy_cross_polytope_balls(args.n, args.radius, args.samples, seed)
+        points = toy_cross_polytope_balls(args.n, args.radius, args.samples, args.seed)
     save_dataset(dataset_from_arrays(points.features, points.labels), args.out)
     return 0
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
-    seed = _resolve_seed(args)
     methods = args.method or ["identity"]
-    _echo_config(
-        args,
-        {
-            "data": args.data,
-            "ratio": args.ratio,
-            "methods": methods,
-            "seed": seed,
-            "l2": args.l2,
-            "max_iters": args.max_iters,
-            "tol": args.tol,
-            "out": args.out,
-        },
-    )
+    _echo_config(args, methods=methods)
     data = load_dataset(args.data)
     reports = run_pipeline(
         data,
         args.ratio,
         methods,
-        seed,
+        args.seed,
         l2=args.l2,
         max_iters=args.max_iters,
         tol=args.tol,
@@ -414,6 +361,8 @@ def dispatch(argv) -> int:
             return 2
         if args.config:
             args = parser.parse_args(_with_config(args, list(argv)))
+        if "seed" in vars(args) and args.seed is None:
+            args.seed = fresh_seed()
         return args.handler(args)
     except SystemExit as exc:
         return int(exc.code or 0)

@@ -221,18 +221,35 @@ class TestExtremeScales(unittest.TestCase):
 
 
 class TestGridRanges(unittest.TestCase):
-    def assert_one_error_line(self, grid):
+    def assert_one_error_line(self, value, flag="--grid", expected=None):
+        """``cone-phase`` given ``value`` for ``flag`` exits 1 with one error line, ``expected``."""
+        flags = {"--ms": "1", "--grid": "0.4", flag: value}
         with tempfile.TemporaryDirectory() as tmp:
-            code, _, err = run_cli(["cone-phase", "--n", "2", "--ms", "1", "--trials", "1",
-                                    "--grid", grid, "--out", str(Path(tmp) / "x.csv")])
+            code, _, err = run_cli(["cone-phase", "--n", "2", "--trials", "1",
+                                    *(word for pair in flags.items() for word in pair),
+                                    "--out", str(Path(tmp) / "x.csv")])
         self.assertEqual(code, 1, err)
         self.assertEqual([line for line in err.splitlines() if line.startswith("error:")],
                          [err.splitlines()[-1]])
+        if expected is not None:
+            self.assertEqual(err.splitlines()[-1], expected)
 
     def test_non_finite_bound_is_a_domain_error(self):
         for grid in ("0:1:inf", "nan:1:2", "0:inf:1"):
             with self.subTest(grid):
                 self.assert_one_error_line(grid)
+        for ms in ("inf", "1e400"):
+            with self.subTest(ms=ms):
+                self.assert_one_error_line(ms, "--ms", "error: grid-value-inf-is-not-an-integer")
+
+    def test_malformed_grid_names_its_fault(self):
+        for grid, line in (
+            ("1:2", "error: malformed-grid: expected lo:step:hi, got '1:2'"),
+            ("5:1:1",
+             "error: grid-does-not-advance: expected step > 0 and hi >= lo, got '5:1:1'"),
+        ):
+            with self.subTest(grid):
+                self.assert_one_error_line(grid, expected=line)
 
     def test_too_many_points_is_a_domain_error(self):
         step = 1.0 / MAX_GRID_POINTS
@@ -625,6 +642,73 @@ class TestConfigFile(unittest.TestCase):
         self.assertIn("error: config-key-max-iter-is-not-a-flag-of-this-subcommand", err)
 
 
+class TestConfigEcho(unittest.TestCase):
+    """Each subcommand's first stderr line is its configuration, with every value resolved."""
+
+    def assert_echo(self, argv, expected, allowed=None):
+        """The echo holds ``expected``; any other key is one of ``allowed``, with its value."""
+        code, _, err = run_cli(argv)
+        self.assertEqual(code, 0, err)
+        echo = json.loads(err.splitlines()[0])
+        self.assertEqual({key: value for key, value in echo.items() if key in expected},
+                         expected)
+        added = {key: value for key, value in echo.items() if key not in expected}
+        self.assertLessEqual(added.items(), (allowed or {}).items(), echo)
+
+    def test_every_subcommand(self):
+        with tempfile.TemporaryDirectory() as tmp:
+            pair = write_pair(tmp, zeta=5.0, n=2)
+            classes = str(Path(tmp) / "classes.json")
+            Path(classes).write_text(json.dumps([{"center": [0, 0], "radius": 1},
+                                                 {"center": [5, 0], "radius": 1}]))
+            cone, gaps, toy = (str(Path(tmp) / name) for name in ("c.csv", "e.csv", "toy.csv"))
+            self.assert_echo(["bound", "--pair", pair, "--eta", "0.05"],
+                             {"command": "bound", "eta": 0.05, "out": None, "pair": pair})
+            self.assert_echo(["separate", "--pair", pair],
+                             {"command": "separate", "out": None, "pair": pair})
+            self.assert_echo(
+                ["cone-phase", "--n", "4", "--grid", "0.3:0.1:0.5", "--trials", "2",
+                 "--seed", "5", "--out", cone],
+                {"command": "cone-phase", "grid": [0.3, 0.4, 0.5], "ms": [1, 2, 3, 4], "n": 4,
+                 "out": cone, "seed": 5, "trials": 2},
+            )
+            self.assert_echo(
+                ["ellipsoid-phase", "--n", "4", "--grid", "10,20", "--ms", "1:1:3", "--trials",
+                 "2", "--variant", "hyperplane", "--seed", "6", "--out", gaps],
+                {"command": "ellipsoid-phase", "grid": [10.0, 20.0], "ms": [1, 2, 3], "n": 4,
+                 "out": gaps, "seed": 6, "trials": 2, "variant": "hyperplane"},
+            )
+            self.assert_echo(["plan", "--classes", classes, "--p", "0.2"],
+                             {"classes": classes, "command": "plan", "out": None, "p": 0.2})
+            self.assert_echo(
+                ["width-mc", "--alpha", "0.5", "--n", "3", "--trials", "20", "--seed", "7"],
+                {"alpha": 0.5, "command": "width-mc", "n": 3, "out": None, "seed": 7,
+                 "trials": 20},
+                allowed={"pair": None},
+            )
+            self.assert_echo(
+                ["width-mc", "--pair", pair, "--trials", "20", "--seed", "8"],
+                {"command": "width-mc", "out": None, "pair": pair, "seed": 8, "trials": 20},
+                allowed={"alpha": None, "n": None},
+            )
+            self.assert_echo(
+                ["pca-toy", "--kind", "cross-polytope", "--n", "3", "--radius", "0.5",
+                 "--samples", "10", "--seed", "9", "--out", toy],
+                {"center_norm": 1.0, "command": "pca-toy", "kind": "cross-polytope", "n": 3,
+                 "out": toy, "radius": 0.5, "samples": 10, "seed": 9},
+            )
+            for methods in ([], ["identity", "rp:2"]):
+                with self.subTest(methods=methods):
+                    self.assert_echo(
+                        ["classify", "--data", toy, "--ratio", "0.5", "--max-iters", "20",
+                         "--seed", "10", *(f"--method={method}" for method in methods)],
+                        {"command": "classify", "data": toy, "l2": 0.0001, "max_iters": 20,
+                         "methods": methods or ["identity"], "out": None, "ratio": 0.5,
+                         "seed": 10, "tol": 1e-06},
+                        allowed={"method": methods or None},
+                    )
+
+
 def run_python(args):
     """Run a fresh interpreter that imports projsep from this source tree."""
     src = str(Path(projsep.__file__).resolve().parents[1])
@@ -720,6 +804,24 @@ class TestMalformedInput(unittest.TestCase):
         self.assertEqual(err.splitlines()[-1],
                          "error: line-2: label '99999999999999999999999' is outside int64")
         self.assertNotIn("Traceback", err)
+
+    def test_classify_method_faults_name_their_fault(self):
+        with tempfile.TemporaryDirectory() as tmp:
+            data = str(Path(tmp) / "toy.csv")
+            run_cli(["pca-toy", "--n", "3", "--radius", "0.5", "--samples", "20", "--seed", "1",
+                     "--out", data])
+            for method, line in (
+                ("rp:x", "error: malformed-method: 'rp:x'"),
+                ("rp:99", "error: method-out-of-range: 'rp:99' needs M in [1, 3]"),
+                ("foo:1", "error: unknown-method: 'foo:1'; use identity, rp:M, or pca:M"),
+            ):
+                with self.subTest(method):
+                    code, out, err = run_cli(["classify", "--data", data, "--method", method,
+                                              "--seed", "2"])
+                    self.assertEqual(code, 1, err)
+                    self.assertEqual(out, "")
+                    self.assertEqual(err.splitlines()[-1], line)
+                    self.assertNotIn("Traceback", err)
 
     def test_memory_error_is_one_error_line(self):
         # the sweep is mocked: a real allocation this large could exhaust the
