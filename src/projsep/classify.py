@@ -425,12 +425,13 @@ def run_pipeline(
 
     Methods are strings: ``identity``, ``rp:M`` (Gaussian projection with
     this run's seed), or ``pca:M`` (subspace fit on the training split
-    only). Wall-clock covers classifier training alone.
+    only), each parsed before the split and before any training. Wall-clock
+    covers classifier training alone.
     """
+    parsed = [(method, *_parse_method(method, data.n_features)) for method in methods]
     train, test = split(data, ratio, seed)
     reports = []
-    for method in methods:
-        kind, m = _parse_method(method, data.n_features)
+    for method, kind, m in parsed:
         if kind == "identity":
             train_x, test_x = train.features, test.features
         elif kind == "rp":

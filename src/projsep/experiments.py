@@ -26,7 +26,7 @@ import numpy as np
 
 from ._rng import substream
 from .bodies import CircularCone
-from .separation import DISJOINT, INDETERMINATE, _decide_stack
+from .separation import DISJOINT, INDETERMINATE, _decide_stack, _factor_rows, _prefix_factors
 from .widths import _axis_pair_bounds
 
 CSV_HEADER = ("param", "M", "trials", "successes", "indeterminate")
@@ -269,11 +269,16 @@ def _bisect(halves, images1, images2, gaps, ms: tuple[int, ...]):
     centres (the dual function scales as ``zeta**2``). The trials'
     bisections share their decisions largest prefix first: each pass
     decides, as one stack (``separation._decide_stack``), every unfinished
-    trial whose next probe is the largest M any of them probes next. A
-    stack shares the SVD and ``eigh`` calls and gives each trial the
-    verdicts it would get alone, and a trial's probes follow only its own
-    verdicts, so neither the grouping nor the order of the stacks changes
-    what a trial's bisection finds. Makes no RNG call.
+    trial whose next probe is the largest M any of them probes next. Each
+    trial's ``[B1 B2]`` over all ``ms[-1]`` rows is factored once, by one
+    Householder QR of its transpose (``separation._factor_rows``), before
+    the bisections start: the first M columns of Q and the leading block
+    of ``R^-1`` whiten prefix M, so a probe needs one ``eigh`` and no SVD. A prefix whose R pivots are not safely nonzero,
+    such as M = n in the hyperplane variant, takes the SVD path. A stack
+    shares its ``eigh`` and SVD calls and gives each trial the verdicts it
+    would get alone, and a trial's probes follow only its own verdicts, so
+    neither the grouping nor the order of the stacks changes what a
+    trial's bisection finds. Makes no RNG call.
 
     Returns the least indices (trials, gaps), ``len(ms)`` where a trial is
     disjoint at no M of the grid; the Indeterminate verdicts per gap and
@@ -281,6 +286,7 @@ def _bisect(halves, images1, images2, gaps, ms: tuple[int, ...]):
     """
     indet = np.zeros((len(gaps), len(ms)), dtype=np.int64)
     decisions = {"calls": 0, "decompositions": 0, "verdicts": 0}
+    factors = _factor_rows(images1, images2)
     # each trial's and gap's least disjoint index of ms lies in [lo, hi]
     lo = np.zeros((len(halves), len(gaps)), dtype=np.int64)
     hi = np.full((len(halves), len(gaps)), len(ms))
@@ -295,7 +301,8 @@ def _bisect(halves, images1, images2, gaps, ms: tuple[int, ...]):
         probed = (lo[group] <= mid) & (mid < hi[group])
         m = ms[mid]
         centers = halves[group, :m]
-        stack = _decide_stack(centers, -centers, images1[group, :m], images2[group, :m], gaps, probed)
+        stack = _decide_stack(centers, -centers, images1[group, :m], images2[group, :m], gaps, probed,
+                              _prefix_factors(factors, group, m))
         decisions["calls"] += len(group)
         decisions["decompositions"] += int(stack.decomposed.sum())
         decisions["verdicts"] += int(probed.sum())

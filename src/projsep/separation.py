@@ -14,9 +14,12 @@ at its own open scales, with one stacked SVD, one stacked ``eigh`` per
 rank and array operations for the rest, and gives every pair, bit for
 bit, the verdicts it gets as a stack of one. The ellipsoid sweep stacks
 the trials whose bisections probe the same projected dimension next,
-with a trial's center gaps as the scales; ``decide_disjoint``
-is a stack of one pair at the scale 1. Every verdict is checked before
-it is returned.
+with a trial's center gaps as the scales. It factors each trial's rows
+once, by one Householder QR (``_factor_rows``), which whitens every
+prefix of them; a pair whose prefix has safe pivots is whitened from
+that QR and needs no SVD, and the others take the SVD path.
+``decide_disjoint`` is a stack of one pair at the scale 1. Every verdict
+is checked before it is returned.
 """
 
 from __future__ import annotations
@@ -37,6 +40,8 @@ INDETERMINATE = "Indeterminate"
 WITNESS_TOL = 1e-9
 # whitened extents mu within this of 0 or 1 are rounding: that body is flat there
 FLAT_TOL = 1e-10
+# a trial's R pivots above this fraction of its largest are safe to whiten with
+PIVOT_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -232,6 +237,7 @@ class _Stack:
         base = np.frexp(np.where(reach_b > 0.0, reach_b, math.ulp(0.0)))[1].astype(np.int64)
         shift = np.where(reach_d > 0.0, np.frexp(reach_d)[1] + half, base)
         self.d, self.both, self.n1 = _scale(d, half - shift), _scale(both, -base), n1
+        self.base = base
         tops = scales * np.ldexp(reach_d, half - shift)[:, None]
         self.exps = np.where(
             tops > 0.0, np.maximum(shift[:, None] + np.frexp(tops)[1], base[:, None]), base[:, None]
@@ -281,13 +287,25 @@ class _Stack:
             self.certificates[p, i] = w[row]
         return won
 
-    def decide(self) -> None:
+    def decide(self, factors) -> None:
         """Decide every open scale: the centre line ``d / ||d||`` may separate;
-        else ``[B1 B2]`` is decomposed and ``whiten`` decides, one stacked
-        ``eigh`` for each rank among the pairs."""
+        else ``whiten`` decides, with one stacked ``eigh`` for the pairs whose
+        trial QR in ``factors`` (see ``_decide_stack``) is safe at this prefix
+        and one for each rank among the others, whose ``[B1 B2]`` is
+        decomposed by a thin SVD."""
         undecided = self.open & ~self.certify(self.d, slice(None), self.open, 0)
         self.decomposed = undecided.any(axis=-1)
         todo = np.flatnonzero(self.decomposed)
+        if factors is not None:
+            rows, inverse, exps, safe = factors
+            fast, todo = todo[safe[todo]], todo[~safe[todo]]
+            if fast.size:
+                # the pair's [B1 B2], its trial's first m rows, is 2**e R_m' Q_m';
+                # in units of 2**base, W = 2**(e - base) R_m' whitens S1 + S2 = W W'
+                powers = np.ldexp(1.0, exps[fast] - self.base[fast])[:, None]
+                if fast.size < len(self.d):
+                    rows, inverse = rows[fast], inverse[fast]
+                self.whiten(fast, inverse, powers, rows, undecided[fast])
         if not todo.size:
             return
         if todo.size == len(self.d):
@@ -311,8 +329,14 @@ class _Stack:
 
     def whiten(self, pairs, basis, sigma, rows, undecided) -> None:
         """Decide the scales ``undecided`` of ``pairs``, whose ``[B1 B2]`` all
-        have rank r and the thin SVD ``basis`` (m, r), ``sigma`` (r) and
-        ``rows`` (r, n1 + n2).
+        have rank r and factor as ``W rows``, ``W W' = S1 + S2``.
+
+        ``rows`` (r, n1 + n2) has orthonormal rows ``[P1 P2]``; ``basis``
+        (m, r) and ``sigma`` (r, or 1 to broadcast) give the whitened centre
+        ``basis' d / sigma``, which is ``W^+ d``, and ``W^+' z = basis (z /
+        sigma)``. From a thin SVD they are ``U``, the singular values and
+        ``V'``; from a trial QR, where ``W = 2**k R'``, the leading block of
+        ``R^-1``, ``2**k`` and the first columns of Q, transposed.
 
         A component of d outside the range of ``S1 + S2`` separates; else
         the maximum of f decides each scale: above ``1 / ratio**2``, ``lam
@@ -404,13 +428,63 @@ class _Stack:
         )
 
 
-def _decide_stack(c1, c2, b1, b2, scales, open_=None) -> _Stack:
+def _factor_rows(b1, b2):
+    """One Householder QR per trial that whitens every prefix of its rows.
+
+    ``b1`` is (k, m, n1) and ``b2`` (k, m, n2), with ``m <= n1 + n2``:
+    trial p's ``[B1 B2]``, divided by ``2**e[p]`` for the binary exponent
+    of its largest entry, so that nothing depends on its scale, is ``R'
+    Q'``. ``R'`` is lower triangular, so the first M rows are ``R_M' Q_M'``
+    with ``R_M`` the leading M-by-M block of R and ``Q_M`` the first M
+    columns of Q: ``R_M'`` whitens their ``S1 + S2``, ``Q_M'`` holds their
+    ``[P1 P2]`` and ``R_M^-1`` is the leading block of ``R^-1`` (Golub and
+    Van Loan, Matrix Computations, 5.2). Unlike a Gram matrix's Cholesky
+    factor, this does not square the condition number. A prefix is safe
+    when each of its pivots exceeds ``PIVOT_TOL`` times the trial's
+    largest; where one does not, such as a rank-deficient prefix, R is
+    inverted with its rows from that pivot on replaced by the identity's,
+    which leaves the safe leading blocks of ``R^-1`` as they are.
+
+    Returns ``(Q', R^-1, e, safe)``: (k, m, n1 + n2), (k, m, m), and the
+    exponents and safe prefix lengths, (k,) each.
+    """
+    both = np.concatenate((b1, b2), axis=-1)
+    exps = np.frexp(np.abs(both).max(axis=(-2, -1), initial=0.0))[1]
+    q, r = np.linalg.qr(_scale(both, -exps).swapaxes(-1, -2))
+    pivots = np.abs(np.diagonal(r, axis1=-2, axis2=-1))
+    least = np.minimum.accumulate(pivots, axis=-1)
+    safe = np.sum(least > PIVOT_TOL * pivots.max(axis=-1, keepdims=True), axis=-1)
+    trial, row = np.nonzero(np.arange(r.shape[-1]) >= safe[:, None])
+    r[trial, row] = np.eye(r.shape[-1])[row]
+    # R^-1 column by column, as LAPACK's trti2 forms it, with no LU
+    # factorization as np.linalg.inv makes: column j is -R_j^-1 r_j / r_jj,
+    # R_j and r_j the leading j-by-j block and column j above the pivot,
+    # whose inverse the earlier columns hold
+    inverse = np.zeros_like(r)
+    for j, pivot in enumerate(np.diagonal(r, axis1=-2, axis2=-1).T):
+        inverse[:, j, j] = 1.0 / pivot
+        inverse[:, :j, j] = _dot(inverse[:, :j, :j], r[:, :j, j]) * (-1.0 / pivot)[:, None]
+    return np.ascontiguousarray(q.swapaxes(-1, -2)), inverse, exps, safe
+
+
+def _prefix_factors(factors, pairs, m: int):
+    """The ``_factor_rows`` of trials ``pairs`` restricted to their first m rows,
+    as ``_decide_stack`` takes them: the first m rows of Q', the leading
+    m-by-m blocks, the exponents and whether the prefix is safe."""
+    rows, inverse, exps, safe = factors
+    return rows[pairs, :m], inverse[pairs, :m, :m], exps[pairs], safe[pairs] >= m
+
+
+def _decide_stack(c1, c2, b1, b2, scales, open_=None, factors=None) -> _Stack:
     """Decide a stack of pairs, each at several centre scales, in one pass.
 
     ``c1`` and ``c2`` are (k, m), ``b1`` is (k, m, n1) and ``b2`` (k, m,
     n2): k pairs that share a row count. ``scales`` is (g,) or (k, g), and
     pair p at scale t is ``(t c1[p], t c2[p], b1[p], b2[p])``; ``open_``
-    (k, g), all true by default, says which of them to decide.
+    (k, g), all true by default, says which of them to decide. ``factors``,
+    if given, is ``_prefix_factors`` of the trials whose first m rows the
+    pairs' shapes are: each pair whose prefix is safe is whitened from
+    them, and the others, as without ``factors``, by a thin SVD.
 
     Scaling both centres by t scales d and its whitened coordinates by t,
     so ``f_t(s) = t**2 f_1(s)``, and a pair at scale t is disjoint iff
@@ -424,26 +498,26 @@ def _decide_stack(c1, c2, b1, b2, scales, open_=None) -> _Stack:
     before anything is scaled, so centres far larger than their gap keep
     it.
 
-    The pairs share each step: one stacked SVD, one stacked ``eigh`` for
-    each rank among the pairs that need one, and one array operation for
-    the rest. Each pair's verdicts are bit for bit those it gets as a
-    stack of one: every operation is elementwise, a sum over one pair's
-    entries, which numpy takes in the same order whatever else is in the
-    stack, or a stacked ``matmul``, ``svd`` or ``eigh``, which it computes
-    matrix by matrix, the same way for matrices laid out alike; so every
-    operand of a product is C-contiguous or a view of a C-contiguous
-    stack, and pairs of different rank are never padded to a common size. ``ValueError`` is raised when a scale
-    is negative or not finite, or a pair's largest scale times its centres
-    overflows.
+    The pairs share each step: one stacked ``eigh`` for the pairs whitened
+    from ``factors``, one stacked SVD and one stacked ``eigh`` for each rank
+    among the others that need one, and one array operation for the rest.
+    Each pair's verdicts are bit for bit those it gets as a stack of one
+    (with its own ``factors``): every operation is elementwise, a sum over
+    one pair's entries, which numpy takes in the same order whatever else
+    is in the stack, or a stacked ``matmul``, ``svd`` or ``eigh``, which it
+    computes matrix by matrix, the same way for matrices laid out alike; so
+    every operand of a product is C-contiguous or a view of a C-contiguous
+    stack, and pairs of different rank are never padded to a common size.
+    ``ValueError`` is raised when a scale is negative or not finite, or a
+    pair's largest scale times its centres overflows.
 
     Returns the decided ``_Stack``: its ``states`` (k, g), ``decomposed``
-    (k,), whether ``[B1 B2]`` was decomposed for each pair, which it is
-    unless the centre line certifies each of the pair's open scales, and
-    ``verdict(p, i)``.
+    (k,), whether each pair was whitened, which it is unless the centre
+    line certifies each of its open scales, and ``verdict(p, i)``.
     """
     with np.errstate(all="ignore"):
         stack = _Stack(c1, c2, b1, b2, scales, open_)
-        stack.decide()
+        stack.decide(factors)
     return stack
 
 

@@ -61,7 +61,7 @@ def circular_width_sq(n: int, alpha: float) -> WidthBound:
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
     if not 0.0 <= alpha <= math.pi / 2:
-        raise ValueError(f"half-angle must lie in [0, pi/2], got {alpha!r}")
+        raise ValueError(f"half-angle out of range: expected [0, pi/2], got {alpha!r}")
     value = n * math.sin(alpha) ** 2 + math.cos(2.0 * alpha)
     return WidthBound(value=value, kind=CIRCULAR_CURVE_SQ)
 

@@ -3,14 +3,17 @@ import unittest
 import numpy as np
 
 from projsep.bodies import (
+    EIGENVALUE_TOL,
     Ball,
     CircularCone,
     Ellipsoid,
     GaussianProjection,
+    binary_exponent,
     difference_cone,
     ellipsoid_from_dict,
     project_body,
 )
+from projsep.experiments import sample_wishart_shape
 
 
 def random_body(rng, n, k=None):
@@ -76,6 +79,45 @@ class TestMakeEllipsoid(unittest.TestCase):
         self.assertEqual(body.shape.shape, (3, 1))
         self.assertEqual(body.ambient_dim, 3)
         self.assertFalse(body.symmetric_psd)
+
+
+class TestPsdRule(unittest.TestCase):
+    """A shape is PSD when, divided by ``2**binary_exponent``, its least
+    eigenvalue is at least ``-EIGENVALUE_TOL``."""
+
+    def test_boundary_at_every_scale(self):
+        tol = EIGENVALUE_TOL
+        # the largest entry, 1/2, is what the division leaves, so the least
+        # eigenvalues sit at tol / 2 and 2 tol below zero in the rule's units
+        cases = (
+            (np.diag([0.5, -0.5 * tol]), True),
+            (np.diag([0.5, -2.0 * tol]), False),
+            (sample_wishart_shape(12, 5, constrained_axis=np.eye(12)[0]), True),
+        )
+        for shape, expected in cases:
+            for power in (-600, 0, 600):
+                scaled = np.ldexp(shape, power)
+                self.assertTrue(np.all(np.ldexp(scaled, -power) == shape))
+                body = Ellipsoid(np.zeros(len(shape)), scaled)
+                self.assertIs(body.symmetric_psd, expected, (shape[-1, -1], power))
+
+    def test_agrees_with_least_eigenvalue_near_the_boundary(self):
+        rng = np.random.default_rng(26)
+        tol = EIGENVALUE_TOL
+        verdicts = set()
+        for _ in range(2000):
+            n = int(rng.integers(2, 7))
+            q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+            values = rng.uniform(0.5, 1.0, n)
+            values[0] = -tol * 10.0 ** rng.uniform(-1.0, 1.0)
+            shape = (q * values) @ q.T
+            shape = 0.5 * (shape + shape.T)
+            least = np.linalg.eigvalsh(np.ldexp(shape, -binary_exponent(shape)))[0]
+            self.assertTrue(-20.0 * tol < least < -0.05 * tol, least)
+            expected = bool(least >= -tol)
+            verdicts.add(expected)
+            self.assertIs(Ellipsoid(np.zeros(n), shape).symmetric_psd, expected, least)
+        self.assertEqual(verdicts, {True, False})
 
 
 class TestProjectBody(unittest.TestCase):

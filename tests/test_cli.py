@@ -823,6 +823,40 @@ class TestMalformedInput(unittest.TestCase):
                     self.assertEqual(err.splitlines()[-1], line)
                     self.assertNotIn("Traceback", err)
 
+    def test_classify_method_fault_comes_before_the_split(self):
+        # four rows leave some class without a training sample at most seeds;
+        # every method is parsed before the split and before any training
+        with tempfile.TemporaryDirectory() as tmp:
+            data = Path(tmp) / "d.csv"
+            data.write_text("label,f0,f1,f2\n0,1.0,0.0,0.5\n1,2.0,1.0,0.0\n0,1.5,0.5,1.0\n"
+                            "1,2.5,0.0,2.0\n")
+            for methods in (["rp:99"], ["identity", "rp:99"]):
+                argv = ["classify", "--data", str(data)]
+                for method in methods:
+                    argv += ["--method", method]
+                with self.subTest(methods=methods), mock.patch.object(
+                        projsep.classify, "train_mlr", side_effect=AssertionError("trained")):
+                    code, out, err = run_cli(argv)
+                    self.assertEqual(code, 1, err)
+                    self.assertEqual(out, "")
+                    self.assertEqual(err.splitlines()[-1],
+                                     "error: method-out-of-range: 'rp:99' needs M in [1, 3]")
+                    self.assertNotIn("Traceback", err)
+
+    def test_half_angle_fault_is_a_stable_slug(self):
+        # the offending value follows the slug, so one fault gives one slug
+        for value in ("inf", "nan", "2"):
+            for argv in (["cone-phase", "--n", "3", "--grid", value, "--trials", "2", "--seed", "1",
+                          "--out", "{tmp}/x.csv"],
+                         ["width-mc", "--alpha", value, "--n", "3", "--trials", "2", "--seed", "1"]):
+                with self.subTest(command=argv[0], value=value), tempfile.TemporaryDirectory() as tmp:
+                    code, out, err = run_cli([arg.format(tmp=tmp) for arg in argv])
+                    self.assertEqual(code, 1, err)
+                    self.assertEqual(out, "")
+                    self.assertEqual(err.splitlines()[-1], "error: half-angle-out-of-range: "
+                                     f"expected [0, pi/2], got {float(value)!r}")
+                    self.assertNotIn("Traceback", err)
+
     def test_memory_error_is_one_error_line(self):
         # the sweep is mocked: a real allocation this large could exhaust the
         # host's memory where the kernel overcommits

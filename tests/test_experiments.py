@@ -29,6 +29,7 @@ from projsep.separation import (
     DISJOINT,
     INDETERMINATE,
     _decide_stack,
+    _factor_rows,
     decide_disjoint,
 )
 from test_separation import assert_checked
@@ -355,8 +356,8 @@ class TestEllipsoidSweepRecord(unittest.TestCase):
         decided = []  # per pair of each stack: (c1, c2, b1, b2, [(scale, verdict), ...])
         stacks = []
 
-        def recording(c1, c2, b1, b2, scales, open_):
-            stack = _decide_stack(c1, c2, b1, b2, scales, open_)
+        def recording(c1, c2, b1, b2, scales, open_, factors):
+            stack = _decide_stack(c1, c2, b1, b2, scales, open_, factors)
             stacks.append(stack)
             for p in range(len(c1)):
                 verdicts = [(scales[i], stack.verdict(p, i)) for i in np.flatnonzero(open_[p])]
@@ -386,9 +387,10 @@ class TestEllipsoidSweepRecord(unittest.TestCase):
     def test_stack_grouping_does_not_change_a_grid(self):
         # each pair decided as a stack of one must give the same counts and
         # record, decisions included, as the stacks the sweep forms
-        def one_by_one(c1, c2, b1, b2, scales, open_):
+        def one_by_one(c1, c2, b1, b2, scales, open_, factors):
             stacks = [_decide_stack(c1[p:p + 1], c2[p:p + 1], b1[p:p + 1], b2[p:p + 1],
-                                    scales, open_[p:p + 1]) for p in range(len(c1))]
+                                    scales, open_[p:p + 1], tuple(a[p:p + 1] for a in factors))
+                      for p in range(len(c1))]
             return SimpleNamespace(states=np.concatenate([s.states for s in stacks]),
                                    decomposed=np.concatenate([s.decomposed for s in stacks]))
 
@@ -410,8 +412,8 @@ class TestEllipsoidSweepRecord(unittest.TestCase):
         halves = sweep_draws(n, ms, trials, seed, "hyperplane")[0]
         stacks = []  # per stack: its prefix and, per pair, (trial, open gaps, states)
 
-        def recording(c1, c2, b1, b2, scales, open_):
-            stack = _decide_stack(c1, c2, b1, b2, scales, open_)
+        def recording(c1, c2, b1, b2, scales, open_, factors):
+            stack = _decide_stack(c1, c2, b1, b2, scales, open_, factors)
             m = c1.shape[1]
             self.assertTrue(all(a.shape[1] == m for a in (c2, b1, b2)))
             pairs = []
@@ -560,6 +562,79 @@ class TestBisectRelations(unittest.TestCase):
             for name, moved in relations.items():
                 self.assert_same_least(f"n {n}, seed {seed}, {variant}, {name}", gaps, ms,
                                        draws, least, moved)
+
+
+class TestBisectWhitening(unittest.TestCase):
+    """``_bisect`` whitens each prefix from its trial's QR where the pivots
+    are safe, and by a thin SVD where they are not; both decide alike."""
+
+    def test_one_qr_whitens_every_prefix(self):
+        # R_M^-T times the first M rows is Q_M': orthonormal rows, at any scale
+        rng = np.random.default_rng(4)
+        b1, b2 = rng.standard_normal((3, 9, 5)), rng.standard_normal((3, 9, 6))
+        both = np.concatenate((b1, b2), axis=-1)
+        for power in (-600, 0, 600):
+            rows, inverse, exps, safe = _factor_rows(np.ldexp(b1, power), np.ldexp(b2, power))
+            np.testing.assert_array_equal(safe, 9)
+            units = np.ldexp(both, (power - exps)[:, None, None])
+            for m in range(1, 10):
+                whitened = inverse[:, :m, :m].swapaxes(-1, -2) @ units[:, :m]
+                np.testing.assert_allclose(whitened, rows[:, :m], rtol=0, atol=1e-13)
+                np.testing.assert_allclose(rows[:, :m] @ rows[:, :m].swapaxes(-1, -2),
+                                           np.broadcast_to(np.eye(m), (3, m, m)), rtol=0, atol=1e-13)
+
+    def test_svd_path_decides_every_geometry_alike(self):
+        def unsafe(b1, b2):
+            *factors, safe = _factor_rows(b1, b2)
+            return (*factors, np.zeros_like(safe))
+
+        for n, zetas, trials, seed, variant in BISECT_GEOMETRIES:
+            label = f"n {n}, seed {seed}, {variant}"
+            ms, gaps = tuple(range(1, n + 1)), np.array(zetas)
+            draws = sweep_draws(n, ms, trials, seed, variant)
+            with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
+                fast = experiments._bisect(*draws, gaps, ms)
+            # no prefix of these geometries needs the SVD path
+            self.assertEqual(svd.call_count, 0, label)
+            with mock.patch.object(experiments, "_factor_rows", unsafe), \
+                    mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
+                slow = experiments._bisect(*draws, gaps, ms)
+            self.assertGreater(svd.call_count, 0, label)
+            np.testing.assert_array_equal(fast[0], slow[0], label)
+            np.testing.assert_array_equal(fast[1], slow[1], label)
+            self.assertEqual(fast[2], slow[2], label)
+
+    def test_rank_deficient_prefix_takes_the_svd_path(self):
+        # at M = n both hyperplane shapes annihilate the projected axis, so a
+        # trial's last R pivot is rounding; a small gap makes the bisections
+        # probe that prefix, where only d's part outside the range separates
+        n, zetas, trials, seed = 12, (0.05,), 6, 7
+        ms, gaps = tuple(range(1, n + 1)), np.array(zetas)
+        draws = sweep_draws(n, ms, trials, seed, "hyperplane")
+        np.testing.assert_array_equal(_factor_rows(*draws[1:])[-1], n - 1)
+        decided = []
+
+        def recording(c1, c2, b1, b2, scales, open_, factors):
+            stack = _decide_stack(c1, c2, b1, b2, scales, open_, factors)
+            decided.append((c1, c2, b1, b2, scales, open_, factors[-1], stack))
+            return stack
+
+        with mock.patch.object(experiments, "_decide_stack", recording), \
+                mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
+            least, indeterminate, _ = experiments._bisect(*draws, gaps, ms)
+        self.assertGreater(svd.call_count, 0)
+        self.assertTrue(all(call.args[0].shape[1] == n for call in svd.call_args_list))
+        full = [entry for entry in decided if entry[0].shape[1] == n]
+        self.assertTrue(full)
+        for c1, c2, b1, b2, scales, open_, safe, stack in full:
+            self.assertFalse(safe.any())
+            for p, i in zip(*np.nonzero(open_)):
+                verdict = stack.verdict(p, i)
+                self.assertEqual(verdict.state, DISJOINT)
+                assert_checked(self, verdict, Ellipsoid(scales[i] * c1[p], b1[p]),
+                               Ellipsoid(scales[i] * c2[p], b2[p]))
+        self.assertEqual(int(np.sum(least == n - 1)), sum(int(entry[5].sum()) for entry in full))
+        self.assertEqual(int(indeterminate.sum()), 0)
 
 
 # SHA-256 of the CSV and of the timestamp-free .meta.json that save_phase_grid
