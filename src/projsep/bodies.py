@@ -21,9 +21,11 @@ UNIT_NORM_TOL = 1e-12
 def _as_float_array(value, name: str, ndim: int) -> np.ndarray:
     arr = np.asarray(value, dtype=float)
     if arr.ndim != ndim:
-        raise ValueError(f"{name} must be {ndim}-dimensional, got shape {arr.shape}")
+        raise ValueError(
+            f"wrong array dimensions: {name} must be {ndim}-dimensional, got shape {arr.shape}"
+        )
     if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains non-finite entries")
+        raise ValueError(f"non-finite entries: {name} holds inf or nan")
     arr = arr.copy()
     arr.setflags(write=False)
     return arr
@@ -73,7 +75,7 @@ class Ellipsoid:
         shape = _as_float_array(self.shape, "shape", ndim=2)
         if shape.shape[0] != center.shape[0]:
             raise ValueError(
-                f"center length {center.shape[0]} does not match "
+                f"center and shape disagree: center length {center.shape[0]}, "
                 f"shape rows {shape.shape[0]}"
             )
         object.__setattr__(self, "center", center)
@@ -105,7 +107,7 @@ class Ball:
         center = _as_float_array(self.center, "center", ndim=1)
         radius = float(self.radius)
         if not math.isfinite(radius) or radius < 0.0:
-            raise ValueError(f"radius must be finite and >= 0, got {radius}")
+            raise ValueError(f"radius out of range: expected finite and >= 0, got {radius}")
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "radius", radius)
 
@@ -129,7 +131,7 @@ class CircularCone:
         axis = _as_float_array(self.axis, "axis", ndim=1)
         norm = float(np.linalg.norm(axis))
         if abs(norm - 1.0) > UNIT_NORM_TOL:
-            raise ValueError(f"axis must have unit norm, got {norm!r}")
+            raise ValueError(f"axis not of unit norm: got {norm!r}")
         angle = float(self.half_angle)
         if not 0.0 <= angle <= math.pi / 2:
             raise ValueError(f"half-angle out of range: expected [0, pi/2], got {angle!r}")
@@ -181,8 +183,8 @@ def project_body(projection, body: Ellipsoid | Ball) -> Ellipsoid:
         raise ValueError("projection must be a matrix")
     if matrix.shape[1] != body.ambient_dim:
         raise ValueError(
-            f"projection columns {matrix.shape[1]} do not match body dimension "
-            f"{body.ambient_dim}"
+            f"projection and body disagree: {matrix.shape[1]} projection columns, "
+            f"body dimension {body.ambient_dim}"
         )
     return Ellipsoid(matrix @ body.center, matrix @ body.shape)
 

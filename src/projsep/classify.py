@@ -65,7 +65,7 @@ class Dataset:
         else:
             k = int(self.n_classes)
             if present.size and (present[0] < 0 or present[-1] >= k):
-                raise ValueError(f"labels must lie in 0..{k - 1}")
+                raise ValueError(f"label out of range: expected 0..{k - 1}")
         if k < 2:
             raise ValueError("dataset must contain at least 2 classes")
         if self.class_names is not None and len(self.class_names) != k:
@@ -231,11 +231,11 @@ def split(data: Dataset, ratio: float, seed: int) -> tuple[Dataset, Dataset]:
     with advice to raise the ratio or change the seed.
     """
     if not 0.0 < ratio < 1.0:
-        raise ValueError(f"ratio must lie in (0, 1), got {ratio!r}")
+        raise ValueError(f"ratio out of range: expected (0, 1), got {ratio!r}")
     p = data.n_samples
     n_train = int(math.floor(ratio * p + 0.5))
     if n_train < 1 or n_train >= p:
-        raise ValueError(f"split of {p} samples at ratio {ratio} leaves an empty side")
+        raise ValueError(f"split leaves an empty side: {p} samples at ratio {ratio}")
     order = substream(seed, "split").permutation(p)
     train_idx = np.sort(order[:n_train])
     test_idx = np.sort(order[n_train:])
@@ -311,11 +311,11 @@ def train_mlr(
     if np.unique(labels).size < 2:
         raise ValueError("training data must contain at least 2 classes")
     if not (math.isfinite(l2) and l2 >= 0.0):
-        raise ValueError(f"l2 must be finite and >= 0, got {l2!r}")
+        raise ValueError(f"l2 out of range: expected finite and >= 0, got {l2!r}")
     if not tol >= 0.0:
-        raise ValueError(f"tol must be >= 0, got {tol!r}")
+        raise ValueError(f"tol out of range: expected >= 0, got {tol!r}")
     if max_iters < 0:
-        raise ValueError(f"max_iters must be >= 0, got {max_iters!r}")
+        raise ValueError(f"max_iters out of range: expected >= 0, got {max_iters!r}")
     mean = train.features.mean(axis=0)
     std = train.features.std(axis=0)
     scale = np.where(std > 1e-12, std, 1.0)

@@ -64,7 +64,7 @@ def parse_grid(text: str) -> list[float]:
         # the range has floor(span) + 1 points; an infinite span has too many
         span = (hi - lo) / step + 1e-9
         if span >= MAX_GRID_POINTS:
-            raise ValueError(f"grid has more than {MAX_GRID_POINTS} points")
+            raise ValueError(f"grid too long: more than {MAX_GRID_POINTS} points")
         return [lo + k * step for k in range(int(math.floor(span)) + 1)]
     if "," in text:
         return [float(p) for p in text.split(",") if p]
@@ -76,7 +76,7 @@ def parse_int_grid(text: str) -> list[int]:
     out = []
     for v in values:
         if not math.isfinite(v) or abs(v - round(v)) > 1e-9:
-            raise ValueError(f"grid value {v} is not an integer")
+            raise ValueError(f"non-integer grid value: got {v}")
         out.append(int(round(v)))
     return out
 
@@ -95,7 +95,7 @@ def _load_pair(path: str):
 def _first_axis(n: int, value: float = 1.0) -> np.ndarray:
     """``value`` times the first standard basis vector of R^n."""
     if n < 1:
-        raise ValueError(f"--n must be at least 1, got {n}")
+        raise ValueError(f"--n out of range: expected at least 1, got {n}")
     axis = np.zeros(n)
     axis[0] = value
     return axis
@@ -109,10 +109,18 @@ def _emit(payload: dict, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _json_value(value):
+    """``value`` with each non-finite float as None, since JSON has no Infinity or NaN."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return [_json_value(v) for v in value] if isinstance(value, (list, tuple)) else value
+
+
 def _echo_config(args: argparse.Namespace, **resolved) -> None:
     """Echo the parsed flags, each under its own name, with the values the handler resolved."""
     config = {key: value for key, value in vars(args).items() if key not in ("handler", "config")}
-    print(json.dumps({**config, **resolved}, sort_keys=True), file=sys.stderr)
+    echo = {key: _json_value(value) for key, value in {**config, **resolved}.items()}
+    print(json.dumps(echo, sort_keys=True, allow_nan=False), file=sys.stderr)
 
 
 def _sweep_axes(args: argparse.Namespace) -> tuple[list[float], list[int]]:
@@ -343,7 +351,7 @@ def _with_config(args: argparse.Namespace, argv: list[str]) -> list[str]:
     for key, value in config.items():
         attr = key.replace("-", "_")
         if not hasattr(args, attr):
-            raise ValueError(f"config key {key!r} is not a flag of this subcommand")
+            raise ValueError(f"unknown config key: {key!r} is not a flag of this subcommand")
         if isinstance(value, list) and getattr(args, attr) is not None:
             continue
         flag = "--" + key.replace("_", "-")

@@ -26,9 +26,9 @@ def required_dim_gordon(width: float, eta: float) -> int:
     """
     width = float(width)
     if math.isnan(width) or width < 0.0:
-        raise ValueError(f"width must be a nonnegative number, got {width!r}")
+        raise ValueError(f"width out of range: expected a nonnegative number, got {width!r}")
     if not 0.0 < eta < 1.0:
-        raise ValueError(f"eta must lie in (0, 1), got {eta!r}")
+        raise ValueError(f"eta out of range: expected (0, 1), got {eta!r}")
     try:
         return int(math.floor((width + math.sqrt(2.0 * math.log(1.0 / eta))) ** 2 + 1.0)) + 1
     except OverflowError:
@@ -118,9 +118,9 @@ def plan_multiclass(ellipsoids: list[Ellipsoid], p: float) -> MultiClassPlan:
     """
     k = len(ellipsoids)
     if k < 2:
-        raise ValueError(f"need at least 2 classes, got {k}")
+        raise ValueError(f"too few classes: need at least 2, got {k}")
     if not 0.0 < p < 1.0:
-        raise ValueError(f"failure budget must lie in (0, 1), got {p!r}")
+        raise ValueError(f"failure budget out of range: expected (0, 1), got {p!r}")
     n_pairs = k * (k - 1) // 2
     eta = p / n_pairs
     pairs = []

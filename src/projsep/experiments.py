@@ -89,12 +89,12 @@ class TransitionEstimate:
 def _validate_sweep(n: int, n_min: int, trials: int, params, name: str, ms):
     """The checks both sweeps make; returns the parameters as floats and ``ms`` as ints."""
     if n < n_min:
-        raise ValueError(f"ambient dimension must be >= {n_min}, got {n}")
+        raise ValueError(f"ambient dimension out of range: expected >= {n_min}, got {n}")
     if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+        raise ValueError(f"trials out of range: expected >= 1, got {trials}")
     params = tuple(float(p) for p in params)
     if not params:
-        raise ValueError(f"need at least one {name}")
+        raise ValueError(f"empty grid: need at least one {name}")
     ms = tuple(int(m) for m in ms)
     if not ms:
         raise ValueError("need at least one projected dimension")
@@ -155,7 +155,7 @@ def sample_wishart_shape(n: int, seed, constrained_axis=None) -> np.ndarray:
     other coordinates.
     """
     if n < 1:
-        raise ValueError(f"dimension must be >= 1, got {n}")
+        raise ValueError(f"dimension out of range: expected >= 1, got {n}")
     rng = seed if isinstance(seed, np.random.Generator) else substream(seed, "wishart")
     if constrained_axis is None:
         x = rng.standard_normal((n, n))
@@ -212,7 +212,7 @@ def run_ellipsoid_phase(
     benchmark harness among them (``max_iter=4000``).
     """
     if variant not in ("general", "hyperplane"):
-        raise ValueError(f"variant must be 'general' or 'hyperplane', got {variant!r}")
+        raise ValueError(f"unknown variant: expected 'general' or 'hyperplane', got {variant!r}")
     zetas, ms = _validate_sweep(n, 2, trials, zetas, "center gap", ms)
     if not all(0.0 <= z < math.inf for z in zetas):
         raise ValueError("center gaps must be finite and >= 0")
@@ -378,7 +378,7 @@ def estimate_transition(grid: PhaseGrid, level: float = 0.5) -> list[TransitionE
     is needed: ``PhaseGrid`` rows are non-decreasing in M.
     """
     if not 0.0 < level < 1.0:
-        raise ValueError(f"level must lie in (0, 1), got {level!r}")
+        raise ValueError(f"level out of range: expected (0, 1), got {level!r}")
     estimates = []
     for i, param in enumerate(grid.axis1):
         ratios = grid.success_ratio[i]

@@ -68,7 +68,7 @@ def principal_subspace(model: InertiaModel, m: int) -> PrincipalSubspace:
     """
     n = model.sigma.shape[0]
     if not 1 <= m <= n:
-        raise ValueError(f"subspace dimension must lie in [1, {n}], got {m}")
+        raise ValueError(f"subspace dimension out of range: expected [1, {n}], got {m}")
     eigvals, eigvecs = np.linalg.eigh(model.sigma)
     order = np.arange(n - 1, n - 1 - m, -1)
     basis = eigvecs[:, order].copy()
@@ -83,7 +83,7 @@ def principal_subspace(model: InertiaModel, m: int) -> PrincipalSubspace:
 def unit_ball_volume(n: int) -> float:
     """Volume of the n-dimensional unit ball."""
     if n < 1:
-        raise ValueError(f"dimension must be >= 1, got {n}")
+        raise ValueError(f"dimension out of range: expected >= 1, got {n}")
     return math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
 
 
@@ -95,12 +95,12 @@ def ball_inertia_analytic(center, radius: float, n: int) -> BallInertia:
     vol(B_n)/(n+2)``. ``center`` may be the vector or its norm.
     """
     if radius <= 0.0:
-        raise ValueError(f"radius must be > 0, got {radius!r}")
+        raise ValueError(f"radius out of range: expected > 0, got {radius!r}")
     center_arr = np.atleast_1d(np.asarray(center, dtype=float))
     if center_arr.ndim != 1:
         raise ValueError("center must be a vector or a scalar norm")
     if center_arr.size not in (1, n):
-        raise ValueError(f"center must be scalar or length {n}")
+        raise ValueError(f"center of the wrong length: expected a scalar or length {n}")
     center_sq = float(center_arr @ center_arr)
     volume = unit_ball_volume(n)
     constant = volume / (n + 2.0)
@@ -127,9 +127,9 @@ def toy_two_balls(n: int, center, radius: float, samples: int, seed: int) -> Lab
     """
     center = np.asarray(center, dtype=float)
     if center.shape != (n,):
-        raise ValueError(f"center must have length {n}")
+        raise ValueError(f"center of the wrong length: expected length {n}")
     if radius <= 0.0:
-        raise ValueError(f"radius must be > 0, got {radius!r}")
+        raise ValueError(f"radius out of range: expected > 0, got {radius!r}")
     if float(np.linalg.norm(center)) <= radius:
         raise ValueError("balls overlap: need ||center|| > radius")
     if samples < 1:
@@ -151,9 +151,9 @@ def toy_cross_polytope_balls(n: int, radius: float, samples: int, seed: int) -> 
     ``samples`` counts points per ball.
     """
     if n < 1:
-        raise ValueError(f"dimension must be >= 1, got {n}")
+        raise ValueError(f"dimension out of range: expected >= 1, got {n}")
     if not 0.0 < radius < 1.0 / math.sqrt(2.0):
-        raise ValueError(f"radius must lie in (0, 1/sqrt(2)), got {radius!r}")
+        raise ValueError(f"radius out of range: expected (0, 1/sqrt(2)), got {radius!r}")
     if samples < 1:
         raise ValueError("need at least one sample per ball")
     blocks = []

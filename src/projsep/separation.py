@@ -308,8 +308,6 @@ class _Stack:
                 self.whiten(fast, inverse, powers, rows, undecided[fast])
         if not todo.size:
             return
-        if todo.size == len(self.d):
-            todo = slice(None)
         # [B1 B2] = U diag(sigma) [P1 P2] whitens S1 + S2 = U diag(sigma^2) U' on
         # its range without squaring its condition number, as eigh(S1 + S2) would
         both = self.both[todo]
@@ -317,11 +315,7 @@ class _Stack:
         ranks = np.sum(sigma > sigma[:, :1] * max(both.shape[1:]) * np.finfo(float).eps, axis=-1)
         for rank in sorted(set(ranks.tolist())):
             group = ranks == rank
-            at, parts = todo, (basis, sigma, rows)
-            if not group.all():
-                at = np.arange(len(self.d))[todo][group]
-                parts = (a[group] for a in parts)
-            u, sg, v = parts
+            at, u, sg, v = todo[group], basis[group], sigma[group], rows[group]
             # contiguous, so that a subset of the pairs keeps the layout its
             # products are computed with
             u, sg, v = (np.ascontiguousarray(a) for a in (u[:, :, :rank], sg[:, :rank], v[:, :rank]))
@@ -341,21 +335,16 @@ class _Stack:
         A component of d outside the range of ``S1 + S2`` separates; else
         the maximum of f decides each scale: above ``1 / ratio**2``, ``lam
         = (S1/(1-s) + S2/s)^-1 d`` separates, and at most that, the
-        maximizer gives the witness.
+        maximizer gives the witness. Every pair stays in the stacked arrays
+        to the end: the mask ``undecided`` leaves out the scales the
+        residual or ``lam`` has decided, only pairs with a scale still open
+        are maximized again, and only open scales are written.
         """
         d = self.d[pairs]
         along = _dot(basis.swapaxes(-1, -2), d)
         if basis.shape[-1] < basis.shape[-2]:
             # at full row rank the residual is rounding, which proves nothing
             undecided &= ~self.certify(d - _dot(basis, along), pairs, undecided, 0)
-        live = undecided.any(axis=-1)
-        if not live.all():
-            if not live.any():
-                return
-            pairs = np.arange(len(self.d))[pairs]
-            pairs, undecided, basis, sigma, rows, along = (
-                a[live] for a in (pairs, undecided, basis, sigma, rows, along)
-            )
         p1, p2 = rows[:, :, : self.n1], rows[:, :, self.n1 :]
         mu, rotation = np.linalg.eigh(p1 @ p1.swapaxes(-1, -2))
         mu = np.where(mu < FLAT_TOL, 0.0, np.where(mu > 1.0 - FLAT_TOL, 1.0, mu))
@@ -373,20 +362,9 @@ class _Stack:
             weight = np.where(mu == 1.0, (1.0 - s[:, None]) * a, s[:, None] * b)
             lam = _dot(basis, _dot(rotation, weight * coords) / sigma)
             undecided &= ~self.certify(lam, pairs, beyond, evaluations)
-            live = undecided.any(axis=-1)
-            if not live.all():
-                if not live.any():
-                    return
-                pairs = np.arange(len(self.d))[pairs]
-                pairs, undecided, mu, rotation, v2, coords, s, f, evaluations, level, a, b, rows = (
-                    x[live]
-                    for x in (pairs, undecided, mu, rotation, v2, coords, s, f, evaluations, level, a, b,
-                              rows)
-                )
-                p1, p2 = rows[:, :, : self.n1], rows[:, :, self.n1 :]
         # touching up to rounding: only the maximizer itself gives a witness
         # with ||x|| = ||y|| = sqrt(max f), not the first s with f > level
-        again = f > level
+        again = (f > level) & undecided.any(axis=-1)
         if again.any():
             s[again], f[again], more = _maximize(mu[again], v2[again], np.full(again.sum(), math.inf))
             evaluations[again] += more
@@ -396,9 +374,9 @@ class _Stack:
         reach = np.maximum(_norm(x1), _norm(y1))
         # the witness (ratio x1, ratio y1) and its residual at every scale of
         # each pair; the scales already decided get ratio 0
-        n1, d, both = self.n1, self.d[pairs], self.both[pairs]
+        n1, both = self.n1, self.both[pairs]
         tc, r = self.tcs[pairs], self.rs[pairs]
-        ratio = np.where(undecided, self.ratios[pairs], 0.0)
+        ratio = np.where(undecided, ratios, 0.0)
         x, y = ratio[:, :, None] * x1[:, None, :], ratio[:, :, None] * y1[:, None, :]
         image1 = x @ both[:, :, :n1].swapaxes(-1, -2)
         image2 = y @ both[:, :, n1:].swapaxes(-1, -2)
@@ -407,7 +385,7 @@ class _Stack:
                           r * self.fro2[pairs][:, None])
         witnessed = (ratio * reach[:, None] <= 1.0 + WITNESS_TOL) & (residual <= WITNESS_TOL * size)
         row, i = np.nonzero(undecided)
-        p = np.arange(len(self.d))[pairs][row]
+        p = pairs[row]
         self.states[p, i] = np.where(witnessed[row, i], INTERSECTING, INDETERMINATE)
         self.norms[p, i] = ratio[row, i] * np.sqrt(f[row])
         self.iterations[p, i] = evaluations[row]
@@ -501,6 +479,8 @@ def _decide_stack(c1, c2, b1, b2, scales, open_=None, factors=None) -> _Stack:
     The pairs share each step: one stacked ``eigh`` for the pairs whitened
     from ``factors``, one stacked SVD and one stacked ``eigh`` for each rank
     among the others that need one, and one array operation for the rest.
+    A pair that the residual or ``lam`` decides keeps its place in the
+    stacked arrays, masked out of the later steps, and is never sliced out.
     Each pair's verdicts are bit for bit those it gets as a stack of one
     (with its own ``factors``): every operation is elementwise, a sum over
     one pair's entries, which numpy takes in the same order whatever else
@@ -542,9 +522,6 @@ def decide_disjoint(e1: Ellipsoid | Ball, e2: Ellipsoid | Ball) -> SeparationVer
     """
     e1, e2 = (e.to_ellipsoid() if isinstance(e, Ball) else e for e in (e1, e2))
     if e1.ambient_dim != e2.ambient_dim:
-        raise ValueError(
-            f"bodies must share an ambient dimension, got {e1.ambient_dim} "
-            f"and {e2.ambient_dim}"
-        )
+        raise ValueError(f"ambient dimensions differ: got {e1.ambient_dim} and {e2.ambient_dim}")
     stack = _decide_stack(e1.center[None], e2.center[None], e1.shape[None], e2.shape[None], (1.0,))
     return stack.verdict(0, 0)

@@ -59,7 +59,7 @@ def circular_width_sq(n: int, alpha: float) -> WidthBound:
     towards 1/2 as alpha nears 0 or pi/2.
     """
     if n < 1:
-        raise ValueError(f"dimension must be >= 1, got {n}")
+        raise ValueError(f"dimension out of range: expected >= 1, got {n}")
     if not 0.0 <= alpha <= math.pi / 2:
         raise ValueError(f"half-angle out of range: expected [0, pi/2], got {alpha!r}")
     value = n * math.sin(alpha) ** 2 + math.cos(2.0 * alpha)
@@ -195,7 +195,7 @@ def mc_width_pseudoprojection(
     Deterministic given the seed.
     """
     if trials < 2:
-        raise ValueError(f"need at least 2 trials, got {trials}")
+        raise ValueError(f"too few trials: need at least 2, got {trials}")
     axis, gap, *pulls = _center_line(e1, e2)
     zeta, ae1, ae2 = _in_units(gap[1], gap, *pulls)
     if zeta - ae1 - ae2 <= 0.0:
@@ -225,7 +225,7 @@ def mc_width_circular(cone: CircularCone, trials: int, seed: int) -> WidthBound:
     the cone axis.
     """
     if trials < 2:
-        raise ValueError(f"need at least 2 trials, got {trials}")
+        raise ValueError(f"too few trials: need at least 2, got {trials}")
     n = cone.ambient_dim
     rng = substream(seed, "width-circular")
     g = rng.standard_normal((trials, n))
@@ -246,7 +246,7 @@ def mc_expected_map_norm(matrix, trials: int, seed: int) -> MapNormEstimate:
     the returned bounds are those endpoints.
     """
     if trials < 2:
-        raise ValueError(f"need at least 2 trials, got {trials}")
+        raise ValueError(f"too few trials: need at least 2, got {trials}")
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2:
         raise ValueError("matrix must be 2-D")

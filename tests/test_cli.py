@@ -240,7 +240,7 @@ class TestGridRanges(unittest.TestCase):
                 self.assert_one_error_line(grid)
         for ms in ("inf", "1e400"):
             with self.subTest(ms=ms):
-                self.assert_one_error_line(ms, "--ms", "error: grid-value-inf-is-not-an-integer")
+                self.assert_one_error_line(ms, "--ms", "error: non-integer-grid-value: got inf")
 
     def test_malformed_grid_names_its_fault(self):
         for grid, line in (
@@ -258,8 +258,9 @@ class TestGridRanges(unittest.TestCase):
         self.assert_one_error_line(f"0:{step}:1")
 
     def test_empty_grid_is_a_domain_error(self):
-        for command, error in (("cone-phase", "error: need-at-least-one-cone-half-angle"),
-                               ("ellipsoid-phase", "error: need-at-least-one-center-gap")):
+        for command, error in (
+                ("cone-phase", "error: empty-grid: need at least one cone half-angle"),
+                ("ellipsoid-phase", "error: empty-grid: need at least one center gap")):
             with self.subTest(command), tempfile.TemporaryDirectory() as tmp:
                 out = Path(tmp) / "x.csv"
                 code, _, err = run_cli([command, "--n", "5", "--grid", ",", "--trials", "2",
@@ -639,7 +640,7 @@ class TestConfigFile(unittest.TestCase):
             ["ellipsoid-phase", "--n", "4", "--grid", "6", "--ms", "2", "--trials", "1"],
         )
         self.assertEqual(code, 1)
-        self.assertIn("error: config-key-max-iter-is-not-a-flag-of-this-subcommand", err)
+        self.assertIn("error: unknown-config-key: 'max-iter' is not a flag of this subcommand", err)
 
 
 class TestConfigEcho(unittest.TestCase):
@@ -707,6 +708,24 @@ class TestConfigEcho(unittest.TestCase):
                          "seed": 10, "tol": 1e-06},
                         allowed={"method": methods or None},
                     )
+
+    def test_non_finite_flags_echo_as_null(self):
+        # JSON has no Infinity or NaN; the echo comes before the value is refused
+        with tempfile.TemporaryDirectory() as tmp:
+            toy, out = str(Path(tmp) / "toy.csv"), str(Path(tmp) / "c.csv")
+            self.assertEqual(run_cli(["pca-toy", "--n", "3", "--radius", "0.5", "--samples",
+                                      "20", "--seed", "1", "--out", toy])[0], 0)
+            for argv, key, value in (
+                (["cone-phase", "--n", "3", "--grid", "inf,0.5,nan", "--out", out], "grid",
+                 [None, 0.5, None]),
+                (["width-mc", "--alpha", "inf", "--n", "3"], "alpha", None),
+                (["classify", "--data", toy, "--tol", "nan", "--seed", "2"], "tol", None),
+            ):
+                with self.subTest(argv=argv):
+                    code, _, err = run_cli(argv)
+                    self.assertEqual(code, 1, err)
+                    echo = json.loads(err.splitlines()[0], parse_constant=strict_json_constant)
+                    self.assertEqual(echo[key], value)
 
 
 def run_python(args):

@@ -215,7 +215,7 @@ class TestRunConePhase(unittest.TestCase):
             run_cone_phase(10, [0.3], [5, 11], trials=2, seed=0)
 
     def test_empty_angle_grid_is_rejected(self):
-        with self.assertRaisesRegex(ValueError, "^need at least one cone half-angle$"):
+        with self.assertRaisesRegex(ValueError, "^empty grid: need at least one cone half-angle$"):
             run_cone_phase(5, [], [2, 5], trials=2, seed=0)
 
 
@@ -332,7 +332,7 @@ class TestRunEllipsoidPhase(unittest.TestCase):
 
     def test_empty_gap_grid_is_rejected(self):
         for variant in ("general", "hyperplane"):
-            with self.assertRaisesRegex(ValueError, "^need at least one center gap$"):
+            with self.assertRaisesRegex(ValueError, "^empty grid: need at least one center gap$"):
                 run_ellipsoid_phase(5, [], [2, 5], trials=2, seed=0, variant=variant)
 
     def test_variant_validated(self):

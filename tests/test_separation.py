@@ -1,12 +1,15 @@
+import itertools
 import math
 import unittest
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from projsep import separation
 from projsep.bodies import Ball, Ellipsoid, binary_exponent
 from projsep.separation import (
     DISJOINT,
@@ -554,6 +557,45 @@ class TestStackedDecision(unittest.TestCase):
                         e1, e2 = Ellipsoid(scales[i] * c1[p], b1[p]), Ellipsoid(scales[i] * c2[p], b2[p])
                         assert_checked(self, want, e1, e2)
         self.assertEqual(seen, {DISJOINT, INTERSECTING})
+
+    def test_touching_pair_among_pairs_decided_earlier(self):
+        # four 3-d pairs of flat bodies, all of rank 2: the centre line decides
+        # discs 10 apart, the residual discs in parallel planes, lam two thin
+        # ellipses, and the last pair touches, where f exceeds 1 by rounding
+        # short of its maximizer; so whiten keeps two decided pairs in the
+        # stack while it re-maximizes the touching one alone
+        flat = np.diag([1.0, 1.0, 0.0])
+        c1 = np.zeros((4, 3))
+        c2 = np.array([[10.0, 0.0, 0.0], [10.0, 0.0, 1.0], [5.0, 1.0, 0.0], [-4.3125, 0.0, 0.0]])
+        thin = np.diag([10.0, 0.1, 0.0])
+        b1 = np.stack([flat, 100.0 * flat, thin, 1.8125 * flat])
+        b2 = np.stack([flat, 100.0 * flat, thin, 2.5 * flat])
+        alone = [_decide_stack(c1[[p]], c2[[p]], b1[[p]], b2[[p]], (1.0,)) for p in range(4)]
+        # centre line; residual (no evaluation of f); lam; the witness at the maximizer
+        self.assertEqual([a.decomposed[0] for a in alone], [False, True, True, True])
+        verdicts = [a.verdict(0, 0) for a in alone]
+        self.assertEqual([v.state for v in verdicts], [DISJOINT] * 3 + [INTERSECTING])
+        self.assertEqual(verdicts[1].iterations, 0)
+        self.assertGreater(verdicts[2].iterations, 0)
+        self.assertAlmostEqual(verdicts[3].norm, 1.0, places=12)
+        maximize, levels = separation._maximize, []
+
+        def spy(mu, v2, level):
+            levels.append(level.copy())
+            return maximize(mu, v2, level)
+
+        for order in itertools.permutations(range(4)):
+            order = list(order)
+            del levels[:]
+            with mock.patch.object(separation, "_maximize", spy):
+                stack = _decide_stack(c1[order], c2[order], b1[order], b2[order], (1.0,))
+            # the touching pair is maximized again, alone and to the end
+            self.assertTrue(any(len(level) == 1 and level[0] == math.inf for level in levels))
+            for at, p in enumerate(order):
+                self.assertEqual(stack.decomposed[at], alone[p].decomposed[0])
+                got = stack.verdict(at, 0)
+                self.assertEqual(got.to_dict(), verdicts[p].to_dict(), (order, p))
+                assert_checked(self, got, Ellipsoid(c1[p], b1[p]), Ellipsoid(c2[p], b2[p]))
 
     def test_scales_are_validated(self):
         c, b = np.zeros((1, 2)), np.eye(2)[None]
