@@ -23,9 +23,11 @@ import numpy as np
 from . import __version__
 from ._rng import fresh_seed
 from .bodies import CircularCone, ellipsoid_from_dict
-from .classify import dataset_from_arrays, load_dataset, run_pipeline, save_dataset, save_report
+from .classify import (DEFAULT_L2, DEFAULT_MAX_ITERS, DEFAULT_TOL, dataset_from_arrays,
+                       load_dataset, run_pipeline, save_dataset, save_report)
 from .escape import plan_multiclass, required_dim_gordon
 from .experiments import (
+    _json_value,
     run_cone_phase,
     run_ellipsoid_phase,
     save_phase_grid,
@@ -109,17 +111,10 @@ def _emit(payload: dict, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _json_value(value):
-    """``value`` with each non-finite float as None, since JSON has no Infinity or NaN."""
-    if isinstance(value, float) and not math.isfinite(value):
-        return None
-    return [_json_value(v) for v in value] if isinstance(value, (list, tuple)) else value
-
-
 def _echo_config(args: argparse.Namespace, **resolved) -> None:
     """Echo the parsed flags, each under its own name, with the values the handler resolved."""
     config = {key: value for key, value in vars(args).items() if key not in ("handler", "config")}
-    echo = {key: _json_value(value) for key, value in {**config, **resolved}.items()}
+    echo = _json_value({**config, **resolved})
     print(json.dumps(echo, sort_keys=True, allow_nan=False), file=sys.stderr)
 
 
@@ -327,9 +322,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--ratio", type=float, default=0.5)
     p.add_argument("--method", action="append", help="identity, rp:M, or pca:M")
-    p.add_argument("--l2", type=float, default=1e-4)
-    p.add_argument("--max-iters", type=int, default=5000)
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--l2", type=float, default=DEFAULT_L2)
+    p.add_argument("--max-iters", type=int, default=DEFAULT_MAX_ITERS)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--out")
     common(p)
     p.set_defaults(handler=_cmd_classify)

@@ -200,7 +200,9 @@ def run_ellipsoid_phase(
 
     Unprojected pairs are never prefiltered; their status (one stack of
     every trial, deciding every gap) and the mean squared width bound per
-    gap, from shapes validated once per trial, are recorded in ``meta``.
+    gap, over the trials whose bound applies (None where none does, inf
+    where the mean is beyond the doubles), are recorded in ``meta``. The
+    bound takes the Wishart shapes, symmetric PSD by construction, unchecked.
     So are ``m_star``, per gap: the mean and standard error of ``M*`` over
     the trials that have one, its histogram over ``ms`` and the count of
     trials disjoint at no M of the grid; and ``decisions``: the pairs
@@ -230,9 +232,12 @@ def run_ellipsoid_phase(
         shape1 = sample_wishart_shape(n, rng, constrained_axis=constrained)
         shape2 = sample_wishart_shape(n, rng, constrained_axis=constrained)
         matrix = rng.standard_normal((ms[-1], n))
-        for i, bound in enumerate(_axis_pair_bounds(shape1, shape2, axis, zetas)):
-            if bound is not None and bound.valid:
-                bound_sq[i].append(bound.value**2)
+        # numpy's scalar pow gives the bits of ``float ** 2``, but inf, not
+        # OverflowError, where the square is beyond the doubles
+        with np.errstate(over="ignore"):
+            for i, bound in enumerate(_axis_pair_bounds(shape1, shape2, axis, zetas)):
+                if bound is not None and bound.valid:
+                    bound_sq[i].append(float(np.float64(bound.value) ** 2))
         if variant == "general":
             shapes.append((shape1, shape2))
         halves[t] = 0.5 * (matrix @ axis)
@@ -403,11 +408,21 @@ def meta_path(path) -> Path:
     return Path(path).with_suffix(".meta.json")
 
 
+def _json_value(value):
+    """``value`` with each non-finite float as None, since JSON has no Infinity or NaN."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    if isinstance(value, dict):
+        return {key: _json_value(v) for key, v in value.items()}
+    return [_json_value(v) for v in value] if isinstance(value, (list, tuple)) else value
+
+
 def save_phase_grid(grid: PhaseGrid, path) -> None:
     """Write the cell counts as CSV plus a sibling ``.meta.json``.
 
     The CSV is byte-stable for a fixed grid: params carry six decimals,
-    counts are plain integers, rows sweep axis1 then axis2.
+    counts are plain integers, rows sweep axis1 then axis2. The sidecar is
+    strict JSON: a non-finite float in ``meta`` is written as null.
     """
     path = Path(path)
     with path.open("w", newline="") as handle:
@@ -425,5 +440,5 @@ def save_phase_grid(grid: PhaseGrid, path) -> None:
                     ]
                 )
     with meta_path(path).open("w") as handle:
-        json.dump(grid.meta, handle, indent=2, sort_keys=True)
+        json.dump(_json_value(grid.meta), handle, indent=2, sort_keys=True, allow_nan=False)
         handle.write("\n")

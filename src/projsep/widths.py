@@ -14,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._rng import substream
-from .bodies import CircularCone, Ellipsoid, _is_symmetric_psd, binary_exponent
+from .bodies import CircularCone, Ellipsoid, binary_exponent
 
 CIRCULAR_CURVE_SQ = "CircularCurveSq"
 ELLIPSOID_THEOREM = "EllipsoidTheorem"
@@ -73,11 +73,6 @@ def _scaled_norm(a: np.ndarray, ord=None) -> tuple[float, int]:
     return float(np.linalg.norm(np.ldexp(a, -exp), ord)), exp
 
 
-def _norm(a: np.ndarray, ord=None) -> float:
-    """``np.linalg.norm(a, ord)``, taken of ``a / 2**e`` and scaled back."""
-    return math.ldexp(*_scaled_norm(a, ord))
-
-
 def _in_units(exp: int, *lengths: tuple[float, int]) -> list[float]:
     """Each ``(m, e)`` length ``m * 2**e`` divided by ``2**exp``; inf where that overflows."""
     with np.errstate(over="ignore"):
@@ -128,37 +123,33 @@ def width_bound_ellipsoids(e1: Ellipsoid, e2: Ellipsoid) -> WidthBound:
     units of the gap's power of two, the bound holds at any scale.
     """
     _, gap, *pulls = _center_line(e1, e2)
+    return _gap_bound(gap, pulls, [_scaled_norm(e.shape, "fro") for e in (e1, e2)])
+
+
+def _gap_bound(gap, pulls, fros) -> WidthBound:
+    """``width_bound_ellipsoids`` from the ``(m, e)`` center gap, axis pulls
+    ``||Ai e||`` and Frobenius norms ``||Ai||_F``, in units of the gap's power of two."""
     zeta, ae1, ae2 = _in_units(gap[1], gap, *pulls)
     if zeta - ae1 - ae2 <= 0.0:
         return _hypothesis_not_met(ELLIPSOID_THEOREM, gap, *pulls)
-    fro1, fro2 = _in_units(gap[1], *(_scaled_norm(e.shape, "fro") for e in (e1, e2)))
-    return _theorem_bound(zeta, ae1, ae2, fro1 + fro2)
-
-
-def _theorem_bound(zeta: float, ae1: float, ae2: float, fro: float) -> WidthBound:
-    """``width_bound_ellipsoids`` from the center gap, the axis pulls ``||Ai e||``
-    and ``fro = ||A1||_F + ||A2||_F``."""
-    if zeta - ae1 - ae2 <= 0.0:
-        return _hypothesis_not_met(ELLIPSOID_THEOREM, (zeta, 0), (ae1, 0), (ae2, 0))
-    return WidthBound(value=fro / (zeta - ae1 - ae2) + INV_SQRT_2PI, kind=ELLIPSOID_THEOREM)
+    fro1, fro2 = _in_units(gap[1], *fros)
+    value = (fro1 + fro2) / (zeta - ae1 - ae2) + INV_SQRT_2PI
+    return WidthBound(value=value, kind=ELLIPSOID_THEOREM)
 
 
 def _axis_pair_bounds(shape1: np.ndarray, shape2: np.ndarray, axis: np.ndarray, zetas):
     """``width_bound_ellipsoids`` of the pairs centred at ``+/- zeta axis / 2``, per gap.
 
-    ``axis`` must be a signed standard basis vector: the pair's gap vector
-    is then ``zeta axis`` exactly, its norm ``zeta`` and its unit axis
-    ``axis``, so the shapes are validated and their pulls taken once for
-    every gap. A gap of 0, where the centres coincide, gets None.
+    The shapes must be symmetric PSD, which is not checked: the ellipsoid
+    sweep, the only caller, draws them so. ``axis`` must be a signed
+    standard basis vector: the pair's gap vector is then ``zeta axis``
+    exactly, its norm ``zeta`` and its unit axis ``axis``, so the shapes'
+    pulls and norms are taken once for every gap. A gap of 0, where the
+    centres coincide, gets None.
     """
-    if not (_is_symmetric_psd(shape1) and _is_symmetric_psd(shape2)):
-        raise ValueError("pair geometry requires symmetric PSD shape matrices")
-    ae1, ae2 = _norm(shape1 @ axis), _norm(shape2 @ axis)
-    fro = _norm(shape1, "fro") + _norm(shape2, "fro")
-    return [
-        _theorem_bound(zeta, ae1, ae2, fro) if zeta > 0.0 else None
-        for zeta in zetas
-    ]
+    pulls = [_scaled_norm(shape @ axis) for shape in (shape1, shape2)]
+    fros = [_scaled_norm(shape, "fro") for shape in (shape1, shape2)]
+    return [_gap_bound(math.frexp(zeta), pulls, fros) if zeta > 0.0 else None for zeta in zetas]
 
 
 _erfc = np.frompyfunc(math.erfc, 1, 1)

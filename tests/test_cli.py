@@ -177,6 +177,26 @@ class TestExtremeScales(unittest.TestCase):
                          [[str(m), "2", "2", "0"] for m in range(1, 6)])
         self.assertEqual(meta["preprojection_disjoint"], [2])
 
+    def test_sweep_bound_squares_beyond_double_range(self):
+        # with pulls of 0, gap 1e-200 gives a bound of about 1e200, whose square
+        # overflows, and gap 1e-310 a bound beyond the doubles: both means are null
+        def sweep(tmp, name, grid):
+            out = Path(tmp) / f"{name}.csv"
+            code, _, err = run_cli(["ellipsoid-phase", "--n", "3", "--grid", grid,
+                                    "--variant", "hyperplane", "--trials", "2", "--seed", "1",
+                                    "--out", str(out)])
+            self.assertEqual(code, 0, err)
+            self.assertNotIn("Traceback", err)
+            self.assertEqual(len(out.read_text().splitlines()), 1 + 3 * len(grid.split(",")))
+            return json.loads(out.with_suffix(".meta.json").read_text(),
+                              parse_constant=strict_json_constant)
+
+        with tempfile.TemporaryDirectory() as tmp:
+            tiny, unit = sweep(tmp, "tiny", "1e-200,1e-310,1"), sweep(tmp, "unit", "1")
+        self.assertEqual(tiny["mean_sq_bound"][:2], [None, None])
+        self.assertEqual(tiny["mean_sq_bound"][2:], unit["mean_sq_bound"])
+        self.assertIsInstance(unit["mean_sq_bound"][0], float)
+
     def test_width_commands_on_a_gap_beyond_double_range(self):
         # two points about 1.97e308 apart: their width bound is 1/sqrt(2 pi) at any gap
         points = [{"center": [0.0, 0.0, 0.0], "radius": 0.0},

@@ -12,7 +12,7 @@ import numpy as np
 
 from projsep import experiments
 from projsep._rng import substream
-from projsep.bodies import Ellipsoid, GaussianProjection
+from projsep.bodies import Ellipsoid, GaussianProjection, _is_symmetric_psd
 from projsep.experiments import (
     CONE_KIND,
     ELLIPSOID_GENERAL_KIND,
@@ -246,11 +246,14 @@ class TestConeReference(unittest.TestCase):
 
 class TestSampleWishartShape(unittest.TestCase):
     def test_symmetric_psd(self):
-        for seed in range(100):
-            shape = sample_wishart_shape(8, seed)
-            np.testing.assert_allclose(shape, shape.T, atol=1e-12)
-            eigs = np.linalg.eigvalsh(shape)
-            self.assertGreaterEqual(eigs.min(), -1e-10)
+        # the ellipsoid sweep bounds its draws' widths without checking them
+        for n in (1, 2, 8, 25, 60):
+            for axis in (None, -np.eye(n)[n // 2]):
+                for seed in range(100):
+                    shape = sample_wishart_shape(n, seed, constrained_axis=axis)
+                    np.testing.assert_array_equal(shape, shape.T)
+                    self.assertGreaterEqual(np.linalg.eigvalsh(shape).min(), -1e-10)
+                    self.assertTrue(_is_symmetric_psd(shape), (n, axis is None, seed))
 
     def test_trace_scale(self):
         # E trace(X X^T) = n^2 for an n x n standard normal X

@@ -121,10 +121,6 @@ class TestAxisPairBounds(unittest.TestCase):
                     self.assertEqual(bound, width_bound_ellipsoids(*pair), zeta)
                 self.assertTrue(any(b.valid for b in bounds[1:]))
 
-    def test_shapes_are_validated(self):
-        with self.assertRaisesRegex(ValueError, "symmetric PSD"):
-            _axis_pair_bounds(np.eye(3), -np.eye(3), np.eye(3)[0], (1.0,))
-
 
 def scale_pairs(s):
     """Equal shapes diag(s, 1, 1) centred at s e_0 and 0, and unit balls scaled by s, 3s apart."""
