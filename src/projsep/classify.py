@@ -262,10 +262,6 @@ class MlrModel:
     loss_trace: tuple[float, ...]
     converged: bool
 
-    @property
-    def n_classes(self) -> int:
-        return self.weights.shape[0]
-
 
 def _design(features: np.ndarray, mean: np.ndarray, scale: np.ndarray) -> np.ndarray:
     """Standardized features with a row of ones below: one column per sample."""

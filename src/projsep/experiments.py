@@ -59,11 +59,11 @@ class PhaseGrid:
         if self.successes.shape != expected or self.indeterminate.shape != expected:
             raise ValueError("count matrices must be axis1-by-axis2")
         if np.any(self.successes < 0) or np.any(self.successes > self.trials):
-            raise ValueError("successes must lie in [0, trials]")
+            raise ValueError(f"successes out of range: expected each in [0, {self.trials}]")
         if np.any(np.diff(self.successes, axis=1) < 0):
             raise ValueError("successes must not fall as M grows")
         if np.any(self.indeterminate < 0) or np.any(self.indeterminate > self.trials):
-            raise ValueError("indeterminate counts must lie in [0, trials]")
+            raise ValueError(f"indeterminate counts out of range: expected each in [0, {self.trials}]")
 
     @property
     def success_ratio(self) -> np.ndarray:
@@ -101,7 +101,7 @@ def _validate_sweep(n: int, n_min: int, trials: int, params, name: str, ms):
     if any(m2 <= m1 for m1, m2 in zip(ms, ms[1:])):
         raise ValueError("projected dimensions must be strictly increasing")
     if ms[0] < 1:
-        raise ValueError("projected dimensions must be >= 1")
+        raise ValueError(f"projected dimension out of range: expected >= 1, got {ms[0]}")
     if ms[-1] > n:
         raise ValueError("projected dimensions must not exceed the ambient dimension")
     return params, ms
@@ -216,8 +216,9 @@ def run_ellipsoid_phase(
     if variant not in ("general", "hyperplane"):
         raise ValueError(f"unknown variant: expected 'general' or 'hyperplane', got {variant!r}")
     zetas, ms = _validate_sweep(n, 2, trials, zetas, "center gap", ms)
-    if not all(0.0 <= z < math.inf for z in zetas):
-        raise ValueError("center gaps must be finite and >= 0")
+    bad = [z for z in zetas if not 0.0 <= z < math.inf]
+    if bad:
+        raise ValueError(f"center gap out of range: expected finite and >= 0, got {bad[0]}")
     kind = ELLIPSOID_GENERAL_KIND if variant == "general" else ELLIPSOID_HYPERPLANE_KIND
     axis = np.zeros(n)
     axis[0] = 1.0

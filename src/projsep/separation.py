@@ -8,7 +8,8 @@ turns that into one concave function of ``s`` (Gilitschenski and Hanebeck,
 2012): the bodies are disjoint iff ``f(s) = sum_i v_i^2 s(1-s) / (mu_i s +
 (1-mu_i)(1-s))`` exceeds 1 somewhere on [0, 1]. Scaling both centres by
 t scales the ``v_i`` by t and f by ``t**2``, so one whitening and one
-maximization decide the pair at every such scale. The one solver,
+maximization, run to its maximizer, decide the pair at every such scale,
+and the maximizer gives both certificate and witness. The one solver,
 ``_decide_stack``, decides a stack of pairs that share a row count, each
 at its own open scales, with one stacked SVD, one stacked ``eigh`` per
 rank and array operations for the rest, and gives every pair, bit for
@@ -52,11 +53,12 @@ class SeparationVerdict:
     exceeds its rounding error; ``witness`` (Intersecting) is the pair of
     unit-ball preimages of a common point, up to ``WITNESS_TOL`` relative
     rounding. Touching bodies count as Intersecting. ``norm`` is the factor
-    by which both bodies, scaled about their centres, touch: ``sqrt(max f)`` for
-    Intersecting, and for Disjoint the lower bound ``<w, d> / (||B1'w|| +
-    ||B2'w||)`` that the certificate w proves. A margin above the largest
-    double is ``inf``, one below the least is 0; ``to_dict`` writes an
-    infinite margin or norm as None. ``iterations`` counts evaluations of f.
+    by which both bodies, scaled about their centres, touch: ``sqrt(max f)``
+    for Intersecting; for Disjoint, ``<w, d> / (||B1'w|| + ||B2'w||)`` for
+    the certificate w, exact up to rounding when the dual certifies
+    (``iterations > 0``) and a lower bound otherwise. A margin above the
+    largest double is ``inf``, one below the least is 0; ``to_dict`` writes
+    an infinite margin or norm as None. ``iterations`` counts evaluations of f.
     """
 
     state: str
@@ -148,17 +150,16 @@ def _weights(mu: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
-def _maximize(mu: np.ndarray, v2: np.ndarray, level: np.ndarray):
-    """Per row, the maximizer ``s`` of the concave ``f`` on [0, 1], or an ``s`` with ``f(s) > level``.
+def _maximize(mu: np.ndarray, v2: np.ndarray):
+    """Per row, the maximizer ``s`` of the concave ``f`` on [0, 1].
 
     Returns the arrays ``(s, f(s), evaluations)``. The sign of ``f'`` at
     each endpoint settles the flat-body cases in closed form; a flat
     coordinate's term is a zero in its place, so every row sums all its
     entries. The other rows run a bracketed Newton iteration on ``f'`` in
     lockstep: each step sums f, ``f'`` and ``f''`` for every row at once,
-    then moves each row's own bracket, until its ``f > level``, its ``f'``
-    vanishes, its Newton step no longer moves ``s``, or its bracket holds
-    no float.
+    then moves each row's own bracket, until its ``f'`` vanishes, its
+    Newton step no longer moves ``s``, or its bracket holds no float.
     """
     flat1, flat2 = mu == 0.0, mu == 1.0
     rest = 1.0 - mu
@@ -168,7 +169,6 @@ def _maximize(mu: np.ndarray, v2: np.ndarray, level: np.ndarray):
     s, f = np.where(at0, 0.0, np.where(at1, 1.0, 0.5)), np.where(at0, f0, f1)
     evaluations = np.ones(len(mu), dtype=np.int64)
     spread = v2 * mu * rest
-    levels = level.tolist()
     brackets = {j: (0.0, 1.0) for j in np.flatnonzero(~(at0 | at1)).tolist()}
     for count in itertools.count(1):
         if not brackets:
@@ -183,10 +183,10 @@ def _maximize(mu: np.ndarray, v2: np.ndarray, level: np.ndarray):
         now = s.tolist()
         for j, (lo, hi) in list(brackets.items()):
             x, slope = now[j], slopes[j]
-            f[j] = value = x * (1.0 - x) * totals[j]
+            f[j] = x * (1.0 - x) * totals[j]
             evaluations[j] = count
             del brackets[j]
-            if value > levels[j] or slope == 0.0:
+            if slope == 0.0:
                 continue
             if slope > 0.0:
                 lo = x
@@ -221,7 +221,7 @@ class _Stack:
         shape = (k, scales.shape[-1])
         self.open = np.ones(shape, bool) if open_ is None else np.asarray(open_, dtype=bool)
         if not (scales.min(initial=0.0) >= 0.0 and scales.max(initial=0.0) < math.inf):
-            raise ValueError("scales must be finite and >= 0")
+            raise ValueError("scales out of range: expected finite and >= 0")
         reach_c = np.maximum(np.abs(c1), np.abs(c2)).max(axis=-1, initial=0.0)
         if not np.all(scales.max(axis=-1, initial=0.0) * reach_c < math.inf):
             raise ValueError("scaled centres overflow")
@@ -334,11 +334,11 @@ class _Stack:
 
         A component of d outside the range of ``S1 + S2`` separates; else
         the maximum of f decides each scale: above ``1 / ratio**2``, ``lam
-        = (S1/(1-s) + S2/s)^-1 d`` separates, and at most that, the
-        maximizer gives the witness. Every pair stays in the stacked arrays
-        to the end: the mask ``undecided`` leaves out the scales the
-        residual or ``lam`` has decided, only pairs with a scale still open
-        are maximized again, and only open scales are written.
+        = (S1/(1-s) + S2/s)^-1 d`` at the maximizer s separates, and at most
+        that, the same s gives the witness. Every pair is maximized once and
+        stays in the stacked arrays to the end: the mask ``undecided`` leaves
+        out the scales the residual or ``lam`` has decided, and only open
+        scales are written.
         """
         d = self.d[pairs]
         along = _dot(basis.swapaxes(-1, -2), d)
@@ -351,10 +351,7 @@ class _Stack:
         coords = _dot(rotation.swapaxes(-1, -2), along / sigma)
         v2 = coords**2
         ratios = self.ratios[pairs]
-        least = np.where(undecided, ratios, math.inf).min(axis=-1)
-        least = least * least
-        level = np.where(least > 0.0, 1.0 / least, math.inf)
-        s, f, evaluations = _maximize(mu, v2, level)
+        s, f, evaluations = _maximize(mu, v2)
         a, b = _weights(mu, s)
         beyond = undecided & (ratios * ratios * f[:, None] > 1.0)
         if beyond.any():
@@ -362,13 +359,6 @@ class _Stack:
             weight = np.where(mu == 1.0, (1.0 - s[:, None]) * a, s[:, None] * b)
             lam = _dot(basis, _dot(rotation, weight * coords) / sigma)
             undecided &= ~self.certify(lam, pairs, beyond, evaluations)
-        # touching up to rounding: only the maximizer itself gives a witness
-        # with ||x|| = ||y|| = sqrt(max f), not the first s with f > level
-        again = (f > level) & undecided.any(axis=-1)
-        if again.any():
-            s[again], f[again], more = _maximize(mu[again], v2[again], np.full(again.sum(), math.inf))
-            evaluations[again] += more
-            a[again], b[again] = _weights(mu[again], s[again])
         x1 = _dot(p1.swapaxes(-1, -2), _dot(rotation, a * coords))
         y1 = -_dot(p2.swapaxes(-1, -2), _dot(rotation, b * coords))
         reach = np.maximum(_norm(x1), _norm(y1))
@@ -464,17 +454,15 @@ def _decide_stack(c1, c2, b1, b2, scales, open_=None, factors=None) -> _Stack:
     pairs' shapes are: each pair whose prefix is safe is whitened from
     them, and the others, as without ``factors``, by a thin SVD.
 
-    Scaling both centres by t scales d and its whitened coordinates by t,
-    so ``f_t(s) = t**2 f_1(s)``, and a pair at scale t is disjoint iff
-    ``max f_1 > 1 / t**2``. For each pair, one decomposition of ``[B1
-    B2]`` and one maximization of ``f_1``, which stops once ``f_1`` exceeds
-    ``1 / t_min**2`` for its least scale still open, serve every scale. A
+    Scaling both centres by t scales d and its whitened coordinates by t, so
+    ``f_t(s) = t**2 f_1(s)``, and a pair at scale t is disjoint iff ``max
+    f_1 > 1 / t**2``. For each pair, one decomposition of ``[B1 B2]`` and
+    one maximization of ``f_1``, run to its maximizer, serve every scale. A
     direction w certifies each scale whose margin ``t <w, d> - ||B1'w|| -
-    ||B2'w||`` exceeds that scale's ``_rounding_slack``, and the witness
-    at the maximizer is ``(t x_1, t y_1)``, checked for each scale on its
-    own pair. Only ``d = c2 - c1`` and the shapes enter, and d is formed
-    before anything is scaled, so centres far larger than their gap keep
-    it.
+    ||B2'w||`` exceeds that scale's ``_rounding_slack``, and the witness at
+    the maximizer is ``(t x_1, t y_1)``, checked for each scale on its own
+    pair. Only ``d = c2 - c1`` and the shapes enter, and d is formed before
+    anything is scaled, so centres far larger than their gap keep it.
 
     The pairs share each step: one stacked ``eigh`` for the pairs whitened
     from ``factors``, one stacked SVD and one stacked ``eigh`` for each rank

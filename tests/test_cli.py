@@ -263,13 +263,14 @@ class TestGridRanges(unittest.TestCase):
                 self.assert_one_error_line(ms, "--ms", "error: non-integer-grid-value: got inf")
 
     def test_malformed_grid_names_its_fault(self):
-        for grid, line in (
-            ("1:2", "error: malformed-grid: expected lo:step:hi, got '1:2'"),
-            ("5:1:1",
+        for flag, grid, line in (
+            ("--grid", "1:2", "error: malformed-grid: expected lo:step:hi, got '1:2'"),
+            ("--grid", "5:1:1",
              "error: grid-does-not-advance: expected step > 0 and hi >= lo, got '5:1:1'"),
+            ("--ms", "0", "error: projected-dimension-out-of-range: expected >= 1, got 0"),
         ):
-            with self.subTest(grid):
-                self.assert_one_error_line(grid, expected=line)
+            with self.subTest(flag=flag, grid=grid):
+                self.assert_one_error_line(grid, flag, line)
 
     def test_too_many_points_is_a_domain_error(self):
         step = 1.0 / MAX_GRID_POINTS
@@ -278,12 +279,14 @@ class TestGridRanges(unittest.TestCase):
         self.assert_one_error_line(f"0:{step}:1")
 
     def test_empty_grid_is_a_domain_error(self):
-        for command, error in (
-                ("cone-phase", "error: empty-grid: need at least one cone half-angle"),
-                ("ellipsoid-phase", "error: empty-grid: need at least one center gap")):
-            with self.subTest(command), tempfile.TemporaryDirectory() as tmp:
+        for command, grid, error in (
+                ("cone-phase", ",", "error: empty-grid: need at least one cone half-angle"),
+                ("ellipsoid-phase", ",", "error: empty-grid: need at least one center gap"),
+                ("ellipsoid-phase", "-1",
+                 "error: center-gap-out-of-range: expected finite and >= 0, got -1.0")):
+            with self.subTest(command, grid=grid), tempfile.TemporaryDirectory() as tmp:
                 out = Path(tmp) / "x.csv"
-                code, _, err = run_cli([command, "--n", "5", "--grid", ",", "--trials", "2",
+                code, _, err = run_cli([command, "--n", "5", "--grid", grid, "--trials", "2",
                                         "--out", str(out)])
                 self.assertEqual(code, 1, err)
                 self.assertNotIn("Traceback", err)
@@ -306,6 +309,9 @@ class TestUsageErrors(unittest.TestCase):
         code, _, err = run_cli(["width-mc"])
         self.assertEqual(code, 2)
         self.assertIn("provide --pair or --alpha", err)
+        code, _, err = run_cli(["width-mc", "--alpha", "0.5"])
+        self.assertEqual(code, 2)
+        self.assertEqual(err.splitlines()[-1], "error: --alpha requires --n")
 
     def test_version(self):
         code, out, _ = run_cli(["--version"])

@@ -209,10 +209,20 @@ class TestRunConePhase(unittest.TestCase):
         self.assertIsNone(part.meta["m_star"]["mean"][-1])
 
     def test_ms_must_increase(self):
-        with self.assertRaises(ValueError):
-            run_cone_phase(10, [0.3], [5, 5], trials=2, seed=0)
-        with self.assertRaises(ValueError):
-            run_cone_phase(10, [0.3], [5, 11], trials=2, seed=0)
+        increasing = "projected dimensions must be strictly increasing"
+        for n, trials, ms, message in (
+            (0, 2, [1], "ambient dimension out of range: expected >= 1, got 0"),
+            (10, 0, [5], "trials out of range: expected >= 1, got 0"),
+            (10, 2, [], "need at least one projected dimension"),
+            (10, 2, [0, 1], "projected dimension out of range: expected >= 1, got 0"),
+            (10, 2, [2, 1], increasing),
+            (10, 2, [5, 5], increasing),
+            (10, 2, [5, 11], "projected dimensions must not exceed the ambient dimension"),
+        ):
+            with self.subTest(n=n, trials=trials, ms=ms):
+                with self.assertRaises(ValueError) as caught:
+                    run_cone_phase(n, [0.3], ms, trials=trials, seed=0)
+                self.assertEqual(str(caught.exception), message)
 
     def test_empty_angle_grid_is_rejected(self):
         with self.assertRaisesRegex(ValueError, "^empty grid: need at least one cone half-angle$"):
@@ -337,6 +347,15 @@ class TestRunEllipsoidPhase(unittest.TestCase):
         for variant in ("general", "hyperplane"):
             with self.assertRaisesRegex(ValueError, "^empty grid: need at least one center gap$"):
                 run_ellipsoid_phase(5, [], [2, 5], trials=2, seed=0, variant=variant)
+        for n, zetas, message in (
+            (1, [4.0], "ambient dimension out of range: expected >= 2, got 1"),
+            (5, [-1.0], "center gap out of range: expected finite and >= 0, got -1.0"),
+            (5, [4.0, math.inf], "center gap out of range: expected finite and >= 0, got inf"),
+        ):
+            with self.subTest(n=n, zetas=zetas):
+                with self.assertRaises(ValueError) as caught:
+                    run_ellipsoid_phase(n, zetas, [1], trials=2, seed=0)
+                self.assertEqual(str(caught.exception), message)
 
     def test_variant_validated(self):
         with self.assertRaises(ValueError):

@@ -394,6 +394,11 @@ class TestProperties(unittest.TestCase):
         verdict = decide_disjoint(e1, e2)
         self.assertNotEqual(verdict.state, INDETERMINATE)
         assert_checked(self, verdict, e1, e2)
+        if verdict.state == DISJOINT and verdict.iterations > 0 and math.isfinite(verdict.norm):
+            # read at the maximizer, norm is the touching factor
+            for factor, state in ((1.0 + 1e-6, False), (1.0 - 1e-6, True)):
+                scaled = (Ellipsoid(e.center, verdict.norm * factor * e.shape) for e in (e1, e2))
+                self.assertEqual(decide_disjoint(*scaled).state == DISJOINT, state, factor)
         # the copies are rounded, which may rightly decide pairs that touch
         # or lie flat against each other either way
         assume(settled(verdict, e1, e2))
@@ -561,9 +566,9 @@ class TestStackedDecision(unittest.TestCase):
     def test_touching_pair_among_pairs_decided_earlier(self):
         # four 3-d pairs of flat bodies, all of rank 2: the centre line decides
         # discs 10 apart, the residual discs in parallel planes, lam two thin
-        # ellipses, and the last pair touches, where f exceeds 1 by rounding
-        # short of its maximizer; so whiten keeps two decided pairs in the
-        # stack while it re-maximizes the touching one alone
+        # ellipses, and the last pair touches; whiten keeps the decided pairs
+        # in the stack and maximizes the three it decomposed once, reading lam
+        # and the witness at the maximizer
         flat = np.diag([1.0, 1.0, 0.0])
         c1 = np.zeros((4, 3))
         c2 = np.array([[10.0, 0.0, 0.0], [10.0, 0.0, 1.0], [5.0, 1.0, 0.0], [-4.3125, 0.0, 0.0]])
@@ -578,19 +583,19 @@ class TestStackedDecision(unittest.TestCase):
         self.assertEqual(verdicts[1].iterations, 0)
         self.assertGreater(verdicts[2].iterations, 0)
         self.assertAlmostEqual(verdicts[3].norm, 1.0, places=12)
-        maximize, levels = separation._maximize, []
+        maximize, rows = separation._maximize, []
 
-        def spy(mu, v2, level):
-            levels.append(level.copy())
-            return maximize(mu, v2, level)
+        def spy(mu, v2):
+            rows.append(len(mu))
+            return maximize(mu, v2)
 
         for order in itertools.permutations(range(4)):
             order = list(order)
-            del levels[:]
+            del rows[:]
             with mock.patch.object(separation, "_maximize", spy):
                 stack = _decide_stack(c1[order], c2[order], b1[order], b2[order], (1.0,))
-            # the touching pair is maximized again, alone and to the end
-            self.assertTrue(any(len(level) == 1 and level[0] == math.inf for level in levels))
+            # one maximization, of the three decomposed pairs
+            self.assertEqual(rows, [3], order)
             for at, p in enumerate(order):
                 self.assertEqual(stack.decomposed[at], alone[p].decomposed[0])
                 got = stack.verdict(at, 0)
