@@ -8,7 +8,7 @@ An ellipsoid is the affine image of a unit ball, ``{center + shape @ x :
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from functools import cached_property
 
 import numpy as np
@@ -220,3 +220,18 @@ def ellipsoid_from_dict(data) -> Ellipsoid:
     if radius is not None:
         return Ball(center, radius).to_ellipsoid()
     return Ellipsoid(center, shape)
+
+
+def _json_value(value):
+    """``value`` as JSON data: a dataclass as the dict of its fields, an array
+    as its list, and each non-finite float as None, since JSON has no
+    Infinity or NaN."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if is_dataclass(value):
+        value = {f.name: getattr(value, f.name) for f in fields(value)}
+    elif isinstance(value, np.ndarray):
+        value = value.tolist()
+    if isinstance(value, dict):
+        return {key: _json_value(v) for key, v in value.items()}
+    return [_json_value(v) for v in value] if isinstance(value, (list, tuple)) else value

@@ -85,14 +85,13 @@ class Dataset:
         return self.features.shape[1]
 
 
-def dataset_from_arrays(features, labels, class_names=None) -> Dataset:
+def dataset_from_arrays(features, labels) -> Dataset:
     """Build a Dataset from arbitrary integer labels, remapping them sorted."""
     labels = np.asarray(labels, dtype=np.int64)
     originals = np.unique(labels)
     remapped = np.searchsorted(originals, labels)
-    if class_names is None:
-        class_names = tuple(str(int(value)) for value in originals)
-    return Dataset(np.asarray(features, dtype=float), remapped, tuple(class_names))
+    class_names = tuple(str(int(value)) for value in originals)
+    return Dataset(np.asarray(features, dtype=float), remapped, class_names)
 
 
 _INT64 = range(-(2**63), 2**63)

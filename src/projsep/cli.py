@@ -22,23 +22,16 @@ import numpy as np
 
 from . import __version__
 from ._rng import fresh_seed
-from .bodies import CircularCone, ellipsoid_from_dict
+from .bodies import CircularCone, _json_value, ellipsoid_from_dict
 from .classify import (DEFAULT_L2, DEFAULT_MAX_ITERS, DEFAULT_TOL, dataset_from_arrays,
                        load_dataset, run_pipeline, save_dataset, save_report)
 from .escape import plan_multiclass, required_dim_gordon
-from .experiments import (
-    _json_value,
-    run_cone_phase,
-    run_ellipsoid_phase,
-    save_phase_grid,
-)
+from .experiments import run_cone_phase, run_ellipsoid_phase, save_phase_grid
 from .pca import toy_cross_polytope_balls, toy_two_balls
 from .separation import decide_disjoint
-from .widths import mc_width_circular, mc_width_pseudoprojection, width_bound_ellipsoids
+from .widths import WidthBound, mc_width_circular, mc_width_pseudoprojection, width_bound_ellipsoids
 
 SCHEMA_VERSION = 1
-
-THEOREM_HYPOTHESIS_REASON = "theorem-hypothesis-violated"
 
 # most points a lo:step:hi grid may expand to
 MAX_GRID_POINTS = 100_000
@@ -103,8 +96,8 @@ def _first_axis(n: int, value: float = 1.0) -> np.ndarray:
     return axis
 
 
-def _emit(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+def _emit(payload, out: str | None) -> None:
+    text = json.dumps(_json_value(payload), indent=2, sort_keys=True, allow_nan=False) + "\n"
     if out:
         Path(out).write_text(text)
     else:
@@ -118,6 +111,13 @@ def _echo_config(args: argparse.Namespace, **resolved) -> None:
     print(json.dumps(echo, sort_keys=True, allow_nan=False), file=sys.stderr)
 
 
+def _valid(bound: WidthBound) -> WidthBound:
+    """The bound, refused unless the hypothesis of the theorem behind it holds."""
+    if not bound.valid:
+        raise ValueError("theorem-hypothesis-violated")
+    return bound
+
+
 def _sweep_axes(args: argparse.Namespace) -> tuple[list[float], list[int]]:
     """A phase sweep's parameter grid and projected dimensions, echoed with its flags."""
     grid = parse_grid(args.grid)
@@ -129,12 +129,9 @@ def _sweep_axes(args: argparse.Namespace) -> tuple[list[float], list[int]]:
 def _cmd_bound(args: argparse.Namespace) -> int:
     e1, e2 = _load_pair(args.pair)
     _echo_config(args)
-    bound = width_bound_ellipsoids(e1, e2)
-    if not bound.valid:
-        print(f"error: {THEOREM_HYPOTHESIS_REASON}", file=sys.stderr)
-        return 1
+    bound = _valid(width_bound_ellipsoids(e1, e2))
     payload = {
-        "width_bound": bound.to_dict(),
+        "width_bound": bound,
         "eta": args.eta,
         "required_m": required_dim_gordon(bound.value, args.eta),
     }
@@ -146,7 +143,7 @@ def _cmd_separate(args: argparse.Namespace) -> int:
     e1, e2 = _load_pair(args.pair)
     _echo_config(args)
     verdict = decide_disjoint(e1, e2)
-    _emit(verdict.to_dict(), args.out)
+    _emit(verdict, args.out)
     return 0
 
 
@@ -174,13 +171,13 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     plan = plan_multiclass(ellipsoids, args.p)
     print(plan.render_table())
     if args.out:
-        _emit(plan.to_dict(), args.out)
+        _emit(plan, args.out)
     if not plan.feasible:
-        # the first pair without a dimension says why
+        # the first pair without a dimension says why: its bound does not
+        # apply, or its width needs a dimension beyond the doubles, which
+        # required_dim_gordon refuses again with the message in bound.reason
         pair = next(pair for pair in plan.pairs if pair.m_required is None)
-        reason = _slug(pair.bound.reason) if pair.bound.valid else THEOREM_HYPOTHESIS_REASON
-        print(f"error: {reason}", file=sys.stderr)
-        return 1
+        required_dim_gordon(_valid(pair.bound).value, pair.eta)
     return 0
 
 
@@ -198,11 +195,8 @@ def _cmd_width_mc(args: argparse.Namespace) -> int:
             return 2
         e1, e2 = _load_pair(args.pair)
         _echo_config(args)
-        bound = mc_width_pseudoprojection(e1, e2, args.trials, args.seed)
-        if not bound.valid:
-            print(f"error: {THEOREM_HYPOTHESIS_REASON}", file=sys.stderr)
-            return 1
-    _emit(bound.to_dict(), args.out)
+        bound = _valid(mc_width_pseudoprojection(e1, e2, args.trials, args.seed))
+    _emit(bound, args.out)
     return 0
 
 

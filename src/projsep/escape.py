@@ -58,15 +58,6 @@ class PairPlan:
     eta: float
     m_required: int | None
 
-    def to_dict(self) -> dict:
-        return {
-            "first": self.first,
-            "second": self.second,
-            "bound": self.bound.to_dict(),
-            "eta": self.eta,
-            "m_required": self.m_required,
-        }
-
 
 @dataclass(frozen=True)
 class MultiClassPlan:
@@ -83,15 +74,6 @@ class MultiClassPlan:
     pairs: tuple[PairPlan, ...]
     m: int | None
     feasible: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "n_classes": self.n_classes,
-            "budget": self.budget,
-            "pairs": [pair.to_dict() for pair in self.pairs],
-            "m": self.m,
-            "feasible": self.feasible,
-        }
 
     def render_table(self) -> str:
         rows = [("pair", "width", "eta", "M")]

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from ._rng import substream
-from .bodies import CircularCone
+from .bodies import CircularCone, _json_value
 from .separation import DISJOINT, INDETERMINATE, _decide_stack, _factor_rows, _prefix_factors
 from .widths import _axis_pair_bounds
 
@@ -407,15 +407,6 @@ def estimate_transition(grid: PhaseGrid, level: float = 0.5) -> list[TransitionE
 
 def meta_path(path) -> Path:
     return Path(path).with_suffix(".meta.json")
-
-
-def _json_value(value):
-    """``value`` with each non-finite float as None, since JSON has no Infinity or NaN."""
-    if isinstance(value, float) and not math.isfinite(value):
-        return None
-    if isinstance(value, dict):
-        return {key: _json_value(v) for key, v in value.items()}
-    return [_json_value(v) for v in value] if isinstance(value, (list, tuple)) else value
 
 
 def save_phase_grid(grid: PhaseGrid, path) -> None:

@@ -94,8 +94,8 @@ def ball_inertia_analytic(center, radius: float, n: int) -> BallInertia:
     + C r^(n+2)`` and across it ``C r^(n+2)``, with ``C =
     vol(B_n)/(n+2)``. ``center`` may be the vector or its norm.
     """
-    if radius <= 0.0:
-        raise ValueError(f"radius out of range: expected > 0, got {radius!r}")
+    if not 0.0 < radius < math.inf:
+        raise ValueError(f"radius out of range: expected finite and > 0, got {radius!r}")
     center_arr = np.atleast_1d(np.asarray(center, dtype=float))
     if center_arr.ndim != 1:
         raise ValueError("center must be a vector or a scalar norm")
@@ -122,14 +122,17 @@ def sample_ball(center, radius: float, count: int, rng: np.random.Generator) -> 
 def toy_two_balls(n: int, center, radius: float, samples: int, seed: int) -> LabeledPoints:
     """Uniform samples from two mirrored balls at ``+/- center``, labels +/-1.
 
-    Requires ``||center|| > radius`` so the balls are disjoint; ``samples``
-    counts points per ball. Deterministic given the seed.
+    Requires a finite center and radius with ``||center|| > radius > 0``,
+    so the balls are disjoint; ``samples`` counts points per ball.
+    Deterministic given the seed.
     """
     center = np.asarray(center, dtype=float)
     if center.shape != (n,):
         raise ValueError(f"center of the wrong length: expected length {n}")
-    if radius <= 0.0:
-        raise ValueError(f"radius out of range: expected > 0, got {radius!r}")
+    if not np.all(np.isfinite(center)):
+        raise ValueError("non-finite entries: center holds inf or nan")
+    if not 0.0 < radius < math.inf:
+        raise ValueError(f"radius out of range: expected finite and > 0, got {radius!r}")
     if float(np.linalg.norm(center)) <= radius:
         raise ValueError("balls overlap: need ||center|| > radius")
     if samples < 1:

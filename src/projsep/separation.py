@@ -57,8 +57,8 @@ class SeparationVerdict:
     for Intersecting; for Disjoint, ``<w, d> / (||B1'w|| + ||B2'w||)`` for
     the certificate w, exact up to rounding when the dual certifies
     (``iterations > 0``) and a lower bound otherwise. A margin above the
-    largest double is ``inf``, one below the least is 0; ``to_dict`` writes
-    an infinite margin or norm as None. ``iterations`` counts evaluations of f.
+    largest double is ``inf``, one below the least is 0; the CLI writes
+    an infinite margin or norm as null. ``iterations`` counts evaluations of f.
     """
 
     state: str
@@ -67,18 +67,6 @@ class SeparationVerdict:
     iterations: int
     certificate: np.ndarray | None = None
     witness: tuple[np.ndarray, np.ndarray] | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "state": self.state,
-            "margin": self.margin if math.isfinite(self.margin) else None,
-            "norm": self.norm if math.isfinite(self.norm) else None,
-            "iterations": self.iterations,
-            "certificate": None if self.certificate is None else self.certificate.tolist(),
-            "witness": None
-            if self.witness is None
-            else [self.witness[0].tolist(), self.witness[1].tolist()],
-        }
 
 
 def _dot(a: np.ndarray, v: np.ndarray) -> np.ndarray:

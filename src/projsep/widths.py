@@ -38,16 +38,6 @@ class WidthBound:
     valid: bool = True
     reason: str | None = None
 
-    def to_dict(self) -> dict:
-        """JSON fields; a non-finite ``value`` or ``std_error`` is None."""
-        return {
-            "value": self.value if math.isfinite(self.value) else None,
-            "kind": self.kind,
-            "std_error": self.std_error if math.isfinite(self.std_error or 0.0) else None,
-            "valid": self.valid,
-            "reason": self.reason,
-        }
-
 
 def circular_width_sq(n: int, alpha: float) -> WidthBound:
     """Squared-width curve of a circular cone's sphere patch in n dimensions.

@@ -1,3 +1,5 @@
+import json
+import math
 import unittest
 
 import numpy as np
@@ -8,12 +10,15 @@ from projsep.bodies import (
     CircularCone,
     Ellipsoid,
     GaussianProjection,
+    _json_value,
     binary_exponent,
     difference_cone,
     ellipsoid_from_dict,
     project_body,
 )
+from projsep.escape import plan_multiclass
 from projsep.experiments import sample_wishart_shape
+from projsep.separation import INTERSECTING, decide_disjoint
 
 
 def random_body(rng, n, k=None):
@@ -223,6 +228,29 @@ class TestSerialization(unittest.TestCase):
         back = ellipsoid_from_dict({"center": [1.0, 2.0], "radius": 0.5})
         np.testing.assert_array_equal(back.center, [1.0, 2.0])
         np.testing.assert_allclose(back.shape, 0.5 * np.eye(2))
+
+    def test_results_encode_to_strict_json(self):
+        balls = [ellipsoid_from_dict({"center": [x, 0.0], "radius": 1.0}) for x in (0.0, 1.0, 10.0)]
+        # the first pair overlaps, so its width bound does not apply
+        plan = _json_value(plan_multiclass(balls, 0.1))
+        first = plan["pairs"][0]
+        self.assertEqual((first["first"], first["second"], first["m_required"]), (0, 1, None))
+        self.assertFalse(first["bound"]["valid"])
+        self.assertIsNone(first["bound"]["value"])
+        self.assertEqual((plan["m"], plan["feasible"]), (None, False))
+        self.assertIsInstance(plan["pairs"], list)
+
+        verdict = decide_disjoint(balls[0], balls[1])
+        self.assertEqual(verdict.state, INTERSECTING)
+        encoded = _json_value(verdict)
+        self.assertEqual(encoded["witness"], [verdict.witness[0].tolist(), verdict.witness[1].tolist()])
+        self.assertTrue(all(type(x) is float for side in encoded["witness"] for x in side))
+        self.assertIsNone(encoded["certificate"])
+
+        array = _json_value(np.array([[1.5, math.nan], [math.inf, -math.inf]]))
+        self.assertEqual(array, [[1.5, None], [None, None]])
+        for value in (plan, encoded, array):
+            self.assertEqual(json.loads(json.dumps(value, allow_nan=False)), value)
 
 
 class TestCone(unittest.TestCase):

@@ -138,6 +138,10 @@ class TestBallInertiaAnalytic(unittest.TestCase):
             ball_inertia_analytic(0.0, 0.0, 3)
         with self.assertRaises(ValueError):
             ball_inertia_analytic([1.0, 0.0], 1.0, 3)
+        for radius in (math.nan, math.inf):
+            with self.subTest(radius=radius):
+                with self.assertRaisesRegex(ValueError, "^radius out of range: expected finite and > 0"):
+                    ball_inertia_analytic(0.0, radius, 3)
 
 
 class TestSampleBall(unittest.TestCase):
@@ -233,6 +237,17 @@ class TestToyCrossPolytopeBalls(unittest.TestCase):
             toy_cross_polytope_balls(3, 0.8, samples=10, seed=0)
         with self.assertRaises(ValueError):
             toy_cross_polytope_balls(3, 0.0, samples=10, seed=0)
+        # the two-ball toy refuses a non-finite radius or center, naming it
+        cases = [
+            ([2.0, 0.0, 0.0], math.nan, "^radius out of range: expected finite and > 0, got nan$"),
+            ([2.0, 0.0, 0.0], math.inf, "^radius out of range: expected finite and > 0, got inf$"),
+            ([math.nan, 0.0, 0.0], 0.5, "^non-finite entries: center holds inf or nan$"),
+            ([math.inf, 0.0, 0.0], 0.5, "^non-finite entries: center holds inf or nan$"),
+        ]
+        for center, radius, message in cases:
+            with self.subTest(center=center, radius=radius):
+                with self.assertRaisesRegex(ValueError, message):
+                    toy_two_balls(3, np.array(center), radius, samples=5, seed=1)
 
 
 if __name__ == "__main__":

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from projsep import separation
-from projsep.bodies import Ball, Ellipsoid, binary_exponent
+from projsep.bodies import Ball, Ellipsoid, _json_value, binary_exponent
 from projsep.separation import (
     DISJOINT,
     INDETERMINATE,
@@ -192,12 +192,12 @@ class TestDecideDisjoint(unittest.TestCase):
             checked += 1
         self.assertGreater(checked, 20)
 
-    def test_to_dict_round_trips_json(self):
+    def test_verdict_round_trips_json(self):
         import json
 
         b1 = Ball(np.zeros(2), 1.0)
         b2 = Ball(np.array([5.0, 0.0]), 1.0)
-        payload = json.loads(json.dumps(decide_disjoint(b1, b2).to_dict()))
+        payload = json.loads(json.dumps(_json_value(decide_disjoint(b1, b2))))
         self.assertEqual(payload["state"], DISJOINT)
         self.assertEqual(len(payload["certificate"]), 2)
 
@@ -599,7 +599,7 @@ class TestStackedDecision(unittest.TestCase):
             for at, p in enumerate(order):
                 self.assertEqual(stack.decomposed[at], alone[p].decomposed[0])
                 got = stack.verdict(at, 0)
-                self.assertEqual(got.to_dict(), verdicts[p].to_dict(), (order, p))
+                self.assertEqual(_json_value(got), _json_value(verdicts[p]), (order, p))
                 assert_checked(self, got, Ellipsoid(c1[p], b1[p]), Ellipsoid(c2[p], b2[p]))
 
     def test_scales_are_validated(self):
